@@ -15,6 +15,7 @@
 
 #include "common/config.hpp"
 #include "core/campaign_eval.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 
 namespace sl = safelight;
@@ -54,10 +55,15 @@ int main(int argc, char** argv) {
               schedule.phases.size(), schedule.total_checks());
 
   sl::core::ModelZoo zoo;
-  sl::core::CampaignOptions options;
-  options.cache_dir = zoo.directory();
-  const sl::core::CampaignSweepReport report = sl::core::run_campaign_sweep(
-      setup, zoo, sl::core::variant_by_name("Original"), {schedule}, options);
+  sl::core::ExperimentSpec spec =
+      sl::core::ExperimentRegistry::global().default_spec("campaign", setup);
+  spec.campaigns = {schedule};
+  spec.cache_dir = zoo.directory();
+  sl::core::RunContext context(zoo);
+  const sl::core::CampaignSweepReport report =
+      sl::core::ExperimentRegistry::global()
+          .run(spec, context)
+          .as<sl::core::CampaignSweepReport>();
   const sl::core::CampaignResult& result = report.campaigns.front();
 
   std::printf("\nbaseline accuracy: %s\n\n",

@@ -29,8 +29,8 @@
 # Ends with a per-phase wall-time summary. CI uploads $SMOKE_DIR/out as
 # the experiment artifact bundle (see .github/workflows/ci.yml).
 #
-# SAFELIGHT_SANITIZE=ON builds with ASan+UBSan and runs the unit,
-# integration, fault, dist and serve ctest shards only: the sweep-smoke shard and
+# SAFELIGHT_SANITIZE=ON builds with ASan+UBSan (=thread with TSan) and runs
+# the unit, integration, fault, dist and serve ctest shards only: the sweep-smoke shard and
 # the CLI/bench smokes re-cover the same code paths at ~10x sanitizer
 # cost, and the fault/dist harnesses' child processes inherit the
 # instrumentation.
@@ -72,7 +72,7 @@ phase_end
 # fault shard pulls the plug on child `safelight` processes and proves the
 # crash-resume contract (docs/testing.md).
 SHARDS=(unit integration sweep-smoke fault dist serve)
-if [[ "$SANITIZE" == "ON" ]]; then
+if [[ "$SANITIZE" != "OFF" ]]; then
   SHARDS=(unit integration fault dist serve)
 fi
 for shard in "${SHARDS[@]}"; do
@@ -88,7 +88,7 @@ if [[ "$UNLABELLED" != "0" ]]; then
   exit 1
 fi
 
-if [[ "$SANITIZE" == "ON" ]]; then
+if [[ "$SANITIZE" != "OFF" ]]; then
   echo "== sanitize mode: skipping sweep-smoke shard and CLI/bench smokes =="
   echo "== all checks passed =="
   echo

@@ -205,8 +205,14 @@ class JsonParser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the containers enclosing this value; bounding it makes
+  /// hostile nesting a parse error instead of a stack overflow.
+  JsonValue parse_value(std::size_t depth = 0) {
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == JsonValue::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) +
+           " levels");
+    }
     JsonValue value;
     switch (c) {
       case '{': {
@@ -217,7 +223,8 @@ class JsonParser {
           if (peek() != '"') fail("object key must be a string");
           std::string key = parse_string();
           expect(':');
-          if (!value.object_.emplace(std::move(key), parse_value()).second) {
+          if (!value.object_.emplace(std::move(key), parse_value(depth + 1))
+                   .second) {
             fail("duplicate object key");
           }
           const char next = peek();
@@ -231,7 +238,7 @@ class JsonParser {
         expect('[');
         if (peek() == ']') { ++pos_; return value; }
         while (true) {
-          value.array_.push_back(parse_value());
+          value.array_.push_back(parse_value(depth + 1));
           const char next = peek();
           ++pos_;
           if (next == ']') return value;

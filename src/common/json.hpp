@@ -81,8 +81,12 @@ class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
+  /// Deepest array/object nesting parse() accepts.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parses one complete document; throws std::invalid_argument with the
-  /// byte offset on malformed input or trailing garbage.
+  /// byte offset on malformed input, trailing garbage or nesting deeper
+  /// than kMaxDepth.
   static JsonValue parse(const std::string& text);
 
   Type type() const { return type_; }

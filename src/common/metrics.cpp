@@ -32,8 +32,10 @@ struct Registry {
 };
 
 Registry& registry() {
-  static Registry r;
-  return r;
+  // Never destroyed: pool workers may still register or bump a metric
+  // while static destructors run at exit.
+  static Registry* r = new Registry;
+  return *r;
 }
 
 void zero_all() {

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -87,8 +88,9 @@ void ThreadPool::run(std::size_t chunk_count,
   {
     std::unique_lock<std::mutex> lock(job->mutex);
     job->done_cv.wait(lock, [&] { return job->done == job->chunks; });
-    if (job->error) {
-      const std::exception_ptr error = job->error;
+    // Take the job's reference too, so the exception is freed on this
+    // thread rather than by whichever worker drops the job last.
+    if (std::exception_ptr error = std::exchange(job->error, nullptr)) {
       lock.unlock();
       std::rethrow_exception(error);
     }

@@ -9,16 +9,17 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/evaluation.hpp"
+#include "core/pipeline.hpp"
 #include "core/result_store.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace safelight::core {
 
 namespace {
 
-/// One fan-out unit: a phase of one campaign.
+/// One sweep task: a phase of one campaign.
 struct PhaseTask {
   std::size_t campaign = 0;
   std::size_t phase = 0;
@@ -51,20 +52,20 @@ std::string score_key(const std::string& campaign_id, std::size_t phase,
 /// both the accuracy evaluator (prefix-cache aware) and a calibrated
 /// detector suite. Calibration is deterministic in (setup, weights, suite
 /// config, base_seed), so every worker's suite is identical and results
-/// never depend on the fan-out partitioning.
+/// never depend on which worker ran which phase.
 class CampaignEvaluator {
  public:
   CampaignEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
                     const VariantSpec& variant,
-                    const CampaignOptions& options)
+                    const ExperimentSpec& experiment)
       : setup_(setup),
         model_(model),
-        options_(options),
-        evaluator_(setup, model, variant.name, "", options.corruption),
-        suite_(setup, options.suite) {
+        experiment_(experiment),
+        evaluator_(setup, model, variant.name, "", experiment.corruption),
+        suite_(setup, experiment.suite) {
     const defense::DeploymentView clean{
         model_, evaluator_.executor(), nullptr,
-        seed_combine(options_.base_seed, 0xCA11B)};
+        seed_combine(experiment_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -83,7 +84,7 @@ class CampaignEvaluator {
       evaluator_.apply_composite(phase.attack);
       telemetry = defense::composite_telemetry(setup_.accelerator,
                                                phase.attack,
-                                               options_.corruption);
+                                               experiment_.corruption);
     } else {
       evaluator_.restore_clean();
     }
@@ -106,7 +107,7 @@ class CampaignEvaluator {
       for (const defense::DetectionResult& r : results) {
         store.put(score_key(campaign_id, phase_index, check, r.detector),
                   r.score);
-        if (options_.verbose) {
+        if (experiment_.verbose) {
           std::printf("  [campaign] %-24s p%zu k%zu %-16s score %.4f%s\n",
                       schedule.name.c_str(), phase_index, check,
                       r.detector.c_str(), r.score,
@@ -121,7 +122,7 @@ class CampaignEvaluator {
  private:
   ExperimentSetup setup_;
   nn::Sequential& model_;
-  CampaignOptions options_;
+  const ExperimentSpec& experiment_;
   AttackEvaluator evaluator_;
   defense::DetectorSuite suite_;
 };
@@ -198,17 +199,10 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
   const std::vector<attack::CampaignSchedule> campaigns =
       experiment_spec.campaigns.empty() ? attack::standard_campaigns()
                                         : experiment_spec.campaigns;
-  CampaignOptions options;
-  options.base_seed = experiment_spec.base_seed;
-  options.cache_dir = experiment_spec.cache_dir;
-  options.max_workers = experiment_spec.max_workers;
-  options.verbose = experiment_spec.verbose;
-  options.corruption = experiment_spec.corruption;
-  options.suite = experiment_spec.suite;
   context.note("campaign: sweep " + setup.tag() + " / " + variant.name);
 
   const auto start = std::chrono::steady_clock::now();
-  require(!campaigns.empty(), "run_campaign_sweep: need >= 1 campaign");
+  require(!campaigns.empty(), "campaign sweep: need >= 1 campaign");
   std::vector<std::string> campaign_ids;
   campaign_ids.reserve(campaigns.size());
   std::set<std::string> distinct_ids;
@@ -216,26 +210,26 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
     schedule.validate();
     campaign_ids.push_back(schedule.id());
     require(distinct_ids.insert(campaign_ids.back()).second,
-            "run_campaign_sweep: duplicate campaign '" +
+            "campaign sweep: duplicate campaign '" +
                 campaign_ids.back() + "'");
   }
 
   // Train (or load) on the calling thread; workers only load cache entries.
-  auto model = zoo.get_or_train(setup, variant, options.verbose);
+  auto model = zoo.get_or_train(setup, variant, experiment_spec.verbose);
   const std::string checksum = weights_checksum(*model);
 
   // Names and default thresholds for report assembly; workers calibrate
   // their own identical suites.
-  defense::DetectorSuite reference(setup, options.suite);
+  defense::DetectorSuite reference(setup, experiment_spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
   std::string csv_path;
-  if (!options.cache_dir.empty()) {
-    std::filesystem::create_directories(options.cache_dir);
-    csv_path = options.cache_dir + "/" + setup.tag() + "_" + variant.name +
-               "_" + checksum + "_" +
-               attack::config_fingerprint(options.corruption) + "_" +
-               defense::config_fingerprint(options.suite) + ".campaign.csv";
+  if (!experiment_spec.cache_dir.empty()) {
+    std::filesystem::create_directories(experiment_spec.cache_dir);
+    csv_path = sweep_store_stem(experiment_spec.cache_dir, setup, variant.name,
+                                checksum, experiment_spec.corruption) +
+               "_" + defense::config_fingerprint(experiment_spec.suite) +
+               ".campaign.csv";
   }
   ResultStore store(csv_path);
 
@@ -261,38 +255,22 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
     }
   }
 
-  const auto evaluate_range = [&](CampaignEvaluator& evaluator,
-                                  std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      const PhaseTask& task = pending[p];
-      evaluator.run_phase(campaigns[task.campaign],
-                          campaign_ids[task.campaign], task.phase, store);
-    }
-  };
-
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options.max_workers > 0) workers = std::min(workers, options.max_workers);
-    if (pending.size() < workers * 2) {
-      // Too few phases to keep a fan-out busy: evaluate inline; the probe
-      // and evaluation forwards inside still parallelize.
-      CampaignEvaluator evaluator(setup, *model, variant, options);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Phase evaluation corrupts and restores model weights, so
-            // every worker deploys a private copy (a zoo cache load).
-            auto worker_model = zoo.get_or_train(setup, variant, false);
-            CampaignEvaluator evaluator(setup, *worker_model, variant,
-                                        options);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+  // Phases are claimed in campaign/phase order and a cancel stops the sweep
+  // between phases. Phases corrupt and restore weights: one private copy
+  // per worker.
+  run_sweep_tasks(
+      pending.size(),
+      {experiment_spec.max_workers, context.cancel, setup.tag()},
+      [&] {
+        return std::make_unique<WorkerDeployment<CampaignEvaluator>>(
+            zoo, setup, variant, variant, experiment_spec);
+      },
+      [&](WorkerDeployment<CampaignEvaluator>& worker, std::size_t task) {
+        const PhaseTask& phase = pending[task];
+        worker.evaluator.run_phase(campaigns[phase.campaign],
+                                   campaign_ids[phase.campaign], phase.phase,
+                                   store);
+      });
 
   // Assemble in campaign/phase order; execution order never leaks out.
   std::set<std::pair<std::size_t, std::size_t>> fresh;
@@ -315,12 +293,9 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
       result.baseline_accuracy = *cached;
     } else {
       // Every phase was active, so no dormant phase stored the baseline:
-      // one clean evaluation fills it in. A fresh zoo load, because *model
-      // may already have been conditioned by the inline fan-out path and
-      // conditioning is only idempotent up to requantization.
-      auto clean_model = zoo.get_or_train(setup, variant, false);
-      AttackEvaluator evaluator(setup, *clean_model, variant.name, "",
-                                options.corruption);
+      // one clean evaluation fills it in (workers never touch *model).
+      AttackEvaluator evaluator(setup, *model, variant.name, "",
+                                experiment_spec.corruption);
       result.baseline_accuracy = evaluator.baseline_accuracy();
       store.put(baseline_key, result.baseline_accuracy);
     }
@@ -330,7 +305,7 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
       if (from_cache) ++report.cache_hits;
       const auto accuracy = store.lookup(accuracy_key(phase, setup.eval_count));
       SAFELIGHT_ASSERT(accuracy.has_value(),
-                       "campaign sweep: accuracy missing after fan-out");
+                       "campaign sweep: accuracy missing after sweep");
       CampaignPhaseOutcome outcome;
       outcome.name = phase.name;
       outcome.active = phase.active();
@@ -342,7 +317,7 @@ CampaignSweepReport campaign_impl(const ExperimentSpec& experiment_spec,
           const auto score =
               store.lookup(score_key(campaign_ids[ci], pi, check, name));
           SAFELIGHT_ASSERT(score.has_value(),
-                           "campaign sweep: score missing after fan-out");
+                           "campaign sweep: score missing after sweep");
           CampaignCell cell;
           cell.phase = pi;
           cell.check = check;
@@ -370,30 +345,6 @@ ExperimentResult run_campaign_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = campaign_impl(spec, context);
   return result;
-}
-
-CampaignSweepReport run_campaign_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::CampaignSchedule>& campaigns,
-    const CampaignOptions& options) {
-  // An explicitly empty list is caller error here; only the spec's empty
-  // default means "the standard red-team set".
-  require(!campaigns.empty(), "run_campaign_sweep: need >= 1 campaign");
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("campaign", setup);
-  spec.base_seed = options.base_seed;
-  spec.variant = variant.name;
-  spec.variant_override = variant;  // pass through verbatim, no name lookup
-  spec.campaigns = campaigns;
-  spec.cache_dir = options.cache_dir;
-  spec.max_workers = options.max_workers;
-  spec.verbose = options.verbose;
-  spec.corruption = options.corruption;
-  spec.suite = options.suite;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<CampaignSweepReport>();
 }
 
 }  // namespace safelight::core

@@ -10,8 +10,8 @@
 // per-detector detection latency in checks, and the evasion rate — the
 // fraction of active phases where the attack goes unflagged.
 //
-// Same fan-out / ResultStore discipline as the other sweeps: phases
-// evaluate in parallel over private deployments, every cell persists
+// Same sweep-engine / ResultStore discipline as the other sweeps: phases
+// run on core/sweep_engine.hpp over private deployments, every cell persists
 // immediately keyed on the schedule's stable id, and interrupted sweeps
 // resume. Phase accuracies key on the composite id alone, so campaigns
 // sharing a composite (e.g. a burst phase equal to a ramp's peak) share
@@ -29,16 +29,6 @@
 #include "defense/suite.hpp"
 
 namespace safelight::core {
-
-/// Knobs of run_campaign_sweep.
-struct CampaignOptions {
-  std::uint64_t base_seed = 1000;  // suite calibration seed
-  std::string cache_dir;           // empty disables persistence
-  std::size_t max_workers = 0;
-  bool verbose = false;
-  attack::CorruptionConfig corruption{};
-  defense::SuiteConfig suite{};
-};
 
 /// One (phase, check, detector) cell of a campaign run.
 struct CampaignCell {
@@ -92,7 +82,11 @@ struct CampaignResult {
   std::size_t detection_latency_checks(const std::string& detector) const;
 };
 
-/// Outcome of one run_campaign_sweep call.
+/// Outcome of one campaign sweep (the "campaign" experiment): every
+/// schedule against the deployed variant. Per phase the composite corrupts
+/// a private clean deployment in one pass, accuracy is measured through the
+/// prefix-cached evaluator, and every detector checks the compromised
+/// deployment `phase.checks` times under distinct probe seeds.
 struct CampaignSweepReport {
   std::string variant;
   std::vector<CampaignResult> campaigns;  // campaign input order
@@ -100,20 +94,5 @@ struct CampaignSweepReport {
   std::size_t cache_hits = 0;  // phases served from the result store
   double wall_seconds = 0.0;
 };
-
-/// Runs every campaign schedule against the deployed `variant`: per phase,
-/// the composite corrupts a private clean deployment in one pass, accuracy
-/// is measured through the prefix-cached evaluator, and every detector
-/// checks the compromised deployment `phase.checks` times under distinct
-/// probe seeds. Parallel over phases, ResultStore-cached, resumable,
-/// deterministic in (setup, variant, schedules, options).
-///
-/// Deprecated shim: builds an ExperimentSpec and delegates to
-/// ExperimentRegistry::global().run("campaign") — new callers should use
-/// core/experiment.hpp directly.
-CampaignSweepReport run_campaign_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::CampaignSchedule>& campaigns,
-    const CampaignOptions& options);
 
 }  // namespace safelight::core

@@ -13,11 +13,12 @@
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "core/evaluation.hpp"
+#include "core/pipeline.hpp"
 #include "core/result_store.hpp"
+#include "core/sweep_engine.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight::core {
@@ -43,21 +44,21 @@ nn::Sequential& conditioned(const accel::OnnExecutor& executor,
 /// Per-worker detection engine: one conditioned deployment, one calibrated
 /// suite, checked against many runs. Calibration is deterministic in
 /// (setup, weights, suite config, base_seed), so every worker's suite is
-/// identical and results never depend on the fan-out partitioning.
+/// identical and results never depend on which worker checked which run.
 class DetectionEvaluator {
  public:
   DetectionEvaluator(const ExperimentSetup& setup, nn::Sequential& model,
-                     const DetectionOptions& options)
+                     const ExperimentSpec& experiment)
       : setup_(setup),
         model_(model),
         executor_(setup.accelerator),
         mapping_(conditioned(executor_, model), setup.accelerator),
         clean_snapshot_(nn::snapshot_state(model)),
-        suite_(setup, options.suite),
-        options_(options) {
+        suite_(setup, experiment.suite),
+        experiment_(experiment) {
     const defense::DeploymentView clean{
         model_, executor_, nullptr,
-        seed_combine(options_.base_seed, 0xCA11B)};
+        seed_combine(experiment_.base_seed, 0xCA11B)};
     suite_.calibrate(clean);
   }
 
@@ -66,9 +67,9 @@ class DetectionEvaluator {
     nn::restore_state(model_, clean_snapshot_);
     std::vector<attack::BlockThermalState> telemetry;
     if (!spec.clean) {
-      attack::apply_attack(mapping_, spec.scenario, options_.corruption);
+      attack::apply_attack(mapping_, spec.scenario, experiment_.corruption);
       telemetry = defense::scenario_telemetry(
-          setup_.accelerator, spec.scenario, options_.corruption);
+          setup_.accelerator, spec.scenario, experiment_.corruption);
     }
     const defense::DeploymentView view{
         model_, executor_, telemetry.empty() ? nullptr : &telemetry,
@@ -87,7 +88,7 @@ class DetectionEvaluator {
   accel::WeightStationaryMapping mapping_;
   std::vector<nn::Tensor> clean_snapshot_;
   defense::DetectorSuite suite_;
-  DetectionOptions options_;
+  const ExperimentSpec& experiment_;
 };
 
 /// Probe seed of a run, derived from its full id so every run — including
@@ -251,46 +252,37 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
           ? *experiment_spec.grid
           : attack::paper_scenario_grid(experiment_spec.seed_count,
                                         experiment_spec.base_seed);
-  DetectionOptions options;
-  options.seed_count = experiment_spec.seed_count;
-  options.base_seed = experiment_spec.base_seed;
-  options.clean_runs = experiment_spec.clean_runs;
-  options.cache_dir = experiment_spec.cache_dir;
-  options.max_workers = experiment_spec.max_workers;
-  options.verbose = experiment_spec.verbose;
-  options.corruption = experiment_spec.corruption;
-  options.suite = experiment_spec.suite;
   context.note("detection: sweep " + setup.tag() + " / " + variant.name);
 
   const auto start = std::chrono::steady_clock::now();
 
   // Train (or load) on the calling thread; workers only load cache entries.
-  auto model = zoo.get_or_train(setup, variant, options.verbose);
+  auto model = zoo.get_or_train(setup, variant, experiment_spec.verbose);
   const std::string checksum = weights_checksum(*model);
 
   // The reference suite provides detector names and default thresholds for
   // report assembly; workers calibrate their own identical copies.
-  defense::DetectorSuite reference(setup, options.suite);
+  defense::DetectorSuite reference(setup, experiment_spec.suite);
   const std::vector<std::string> detector_names = reference.names();
 
   std::string csv_path;
-  if (!options.cache_dir.empty()) {
-    std::filesystem::create_directories(options.cache_dir);
-    csv_path = options.cache_dir + "/" + setup.tag() + "_" + variant.name +
-               "_" + checksum + "_" +
-               attack::config_fingerprint(options.corruption) + "_" +
-               defense::config_fingerprint(options.suite) + ".detect.csv";
+  if (!experiment_spec.cache_dir.empty()) {
+    std::filesystem::create_directories(experiment_spec.cache_dir);
+    csv_path = sweep_store_stem(experiment_spec.cache_dir, setup, variant.name,
+                                checksum, experiment_spec.corruption) +
+               "_" + defense::config_fingerprint(experiment_spec.suite) +
+               ".detect.csv";
   }
   ResultStore store(csv_path);
 
   // Run list: clean deployments first (probe seeds derived from base_seed),
   // then the attack grid in grid order.
   std::vector<RunSpec> runs;
-  runs.reserve(options.clean_runs + grid.size());
-  for (std::size_t k = 0; k < options.clean_runs; ++k) {
+  runs.reserve(experiment_spec.clean_runs + grid.size());
+  for (std::size_t k = 0; k < experiment_spec.clean_runs; ++k) {
     RunSpec spec;
     spec.id = "clean/c" + std::to_string(k) + "/b" +
-              std::to_string(options.base_seed);
+              std::to_string(experiment_spec.base_seed);
     spec.clean = true;
     spec.probe_seed = probe_seed_of(spec.id);
     runs.push_back(spec);
@@ -327,70 +319,53 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
     }
   }
 
-  const auto evaluate_range = [&](DetectionEvaluator& evaluator,
-                                  std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      const RunSpec& spec = runs[pending[p]];
-      static metrics::Counter& checks = metrics::counter("detect.checks");
-      checks.add();
-      trace::Span run_span("detect", "detect.run");
-      if (run_span.active()) {
-        run_span.arg("run", spec.id)
-            .arg("clean", static_cast<double>(spec.clean));
-      }
-      const std::vector<defense::DetectionResult> results =
-          evaluator.run(spec);
-      for (const defense::DetectionResult& r : results) {
-        // Detection latency (probes until first flag) per detector; clean
-        // runs are excluded — a clean flag is a false positive, not a
-        // latency sample.
-        if (metrics::armed() && !spec.clean && r.flagged) {
-          metrics::histogram("detect.latency_probes." + r.detector)
-              .record(static_cast<double>(r.first_flag_probe));
+  // Runs are claimed in run order and a cancel stops the sweep between
+  // runs. Checks corrupt and restore weights: one private copy per worker.
+  run_sweep_tasks(
+      pending.size(),
+      {experiment_spec.max_workers, context.cancel, setup.tag()},
+      [&] {
+        return std::make_unique<WorkerDeployment<DetectionEvaluator>>(
+            zoo, setup, variant, experiment_spec);
+      },
+      [&](WorkerDeployment<DetectionEvaluator>& worker, std::size_t task) {
+        const RunSpec& spec = runs[pending[task]];
+        static metrics::Counter& checks = metrics::counter("detect.checks");
+        checks.add();
+        trace::Span run_span("detect", "detect.run");
+        if (run_span.active()) {
+          run_span.arg("run", spec.id)
+              .arg("clean", static_cast<double>(spec.clean));
         }
-        store.put(score_key(spec, r.detector), r.score);
-        store.put(probes_key(spec, r.detector),
-                  static_cast<double>(r.probes));
-        store.put(latency_key(spec, r.detector),
-                  static_cast<double>(r.first_flag_probe));
-        if (options.verbose) {
-          std::printf("  [detect] %-32s %-16s score %.4f%s\n",
-                      spec.id.c_str(), r.detector.c_str(), r.score,
-                      r.flagged ? "  FLAGGED" : "");
-          std::fflush(stdout);
+        const std::vector<defense::DetectionResult> results =
+            worker.evaluator.run(spec);
+        for (const defense::DetectionResult& r : results) {
+          // Detection latency (probes until first flag) per detector; clean
+          // runs are excluded — a clean flag is a false positive, not a
+          // latency sample.
+          if (metrics::armed() && !spec.clean && r.flagged) {
+            metrics::histogram("detect.latency_probes." + r.detector)
+                .record(static_cast<double>(r.first_flag_probe));
+          }
+          store.put(score_key(spec, r.detector), r.score);
+          store.put(probes_key(spec, r.detector),
+                    static_cast<double>(r.probes));
+          store.put(latency_key(spec, r.detector),
+                    static_cast<double>(r.first_flag_probe));
+          if (experiment_spec.verbose) {
+            std::printf("  [detect] %-32s %-16s score %.4f%s\n",
+                        spec.id.c_str(), r.detector.c_str(), r.score,
+                        r.flagged ? "  FLAGGED" : "");
+            std::fflush(stdout);
+          }
         }
-      }
-    }
-  };
-
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options.max_workers > 0) workers = std::min(workers, options.max_workers);
-    if (pending.size() < workers * 2) {
-      // Too few runs to keep a fan-out busy: check inline; the probe
-      // forwards inside still parallelize.
-      DetectionEvaluator evaluator(setup, *model, options);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Checks corrupt and restore model weights, so every worker
-            // deploys a private copy (a zoo cache load).
-            auto worker_model = zoo.get_or_train(setup, variant, false);
-            DetectionEvaluator evaluator(setup, *worker_model, options);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+      });
 
   // Assemble in run order; execution order never leaks into the report.
   DetectionReport report;
   report.variant = variant.name;
   report.detectors = detector_names;
-  report.clean_runs = options.clean_runs;
+  report.clean_runs = experiment_spec.clean_runs;
   report.evaluated = pending.size();
   report.rows.reserve(runs.size() * detector_names.size());
   for (const RunSpec& spec : runs) {
@@ -401,7 +376,7 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
       const auto probes = store.lookup(probes_key(spec, name));
       const auto latency = store.lookup(latency_key(spec, name));
       SAFELIGHT_ASSERT(score && probes && latency,
-                       "detection sweep: result missing after fan-out");
+                       "detection sweep: result missing after sweep");
       DetectionRow row;
       row.run_id = spec.id;
       row.clean = spec.clean;
@@ -421,25 +396,6 @@ DetectionReport detection_impl(const ExperimentSpec& experiment_spec,
   return report;
 }
 
-/// Shared shim body of the two legacy overloads.
-ExperimentSpec detection_spec_of(const ExperimentSetup& setup,
-                                 const VariantSpec& variant,
-                                 const DetectionOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("detection", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.variant = variant.name;
-  spec.variant_override = variant;  // pass through verbatim, no name lookup
-  spec.clean_runs = options.clean_runs;
-  spec.cache_dir = options.cache_dir;
-  spec.max_workers = options.max_workers;
-  spec.verbose = options.verbose;
-  spec.corruption = options.corruption;
-  spec.suite = options.suite;
-  return spec;
-}
-
 }  // namespace
 
 ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
@@ -448,24 +404,6 @@ ExperimentResult run_detection_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = detection_impl(spec, context);
   return result;
-}
-
-DetectionReport run_detection_sweep(
-    const ExperimentSetup& setup, ModelZoo& zoo, const VariantSpec& variant,
-    const std::vector<attack::AttackScenario>& grid,
-    const DetectionOptions& options) {
-  ExperimentSpec spec = detection_spec_of(setup, variant, options);
-  spec.grid = grid;
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<DetectionReport>();
-}
-
-DetectionReport run_detection_sweep(const ExperimentSetup& setup,
-                                    ModelZoo& zoo, const VariantSpec& variant,
-                                    const DetectionOptions& options) {
-  ExperimentSpec spec = detection_spec_of(setup, variant, options);
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<DetectionReport>();
 }
 
 }  // namespace safelight::core

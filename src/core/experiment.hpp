@@ -21,8 +21,10 @@
 //                         binaries and new callers (services, notebooks)
 //                         all go through it.
 //
-// The legacy run_* signatures still compile; they are thin shims that build
-// a spec and delegate here (see their headers).
+// The legacy run_susceptibility, run_mitigation and run_robust_compare
+// signatures still compile; they are thin shims that build a spec and
+// delegate here (see their headers). Detection and campaign sweeps are
+// reached through the registry only.
 #pragma once
 
 #include <atomic>

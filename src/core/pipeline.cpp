@@ -4,13 +4,15 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "core/experiment.hpp"
 #include "core/result_store.hpp"
+#include "core/sweep_engine.hpp"
 
 namespace safelight::core {
 
@@ -40,6 +42,19 @@ std::vector<double> SweepResult::accuracies() const {
 }
 
 BoxStats SweepResult::under_attack() const { return box_stats(accuracies()); }
+
+namespace {
+
+/// A-priori cost rank of a scenario, read from its own fields (no timing):
+/// hotspot attacks run a thermal solve, attacks reaching the CONV layers
+/// re-run the whole forward pass rather than only the FC tail, and larger
+/// fractions corrupt more rings. Higher rank = costlier.
+std::tuple<bool, bool, double> cost_rank(const attack::AttackScenario& s) {
+  return {s.vector == attack::AttackVector::kHotspot,
+          s.target != attack::AttackTarget::kFcBlock, s.fraction};
+}
+
+}  // namespace
 
 ScenarioPipeline::ScenarioPipeline(const ExperimentSetup& setup, ModelZoo& zoo,
                                    PipelineOptions options)
@@ -87,73 +102,50 @@ SweepResult ScenarioPipeline::run(
 
   // Uncached scenarios, deduplicated: a grid may repeat an id, and a
   // previous interrupted run may have persisted a prefix.
-  std::vector<attack::AttackScenario> pending;
-  std::vector<std::string> pending_keys;
+  struct PendingScenario {
+    attack::AttackScenario scenario;
+    std::string key;
+  };
+  std::vector<PendingScenario> pending;
   std::unordered_set<std::string> fresh_keys;
   for (const auto& scenario : grid) {
     scenario.validate();
-    const std::string key = scenario_store_key(scenario, setup_.eval_count);
+    std::string key = scenario_store_key(scenario, setup_.eval_count);
     if (!store.contains(key) && fresh_keys.insert(key).second) {
-      pending.push_back(scenario);
-      pending_keys.push_back(key);
+      pending.push_back({scenario, std::move(key)});
     }
   }
   result.evaluated = pending.size();
 
-  if (!pending.empty()) {
-    std::size_t workers = worker_count();
-    if (options_.max_workers > 0) {
-      workers = std::min(workers, options_.max_workers);
-    }
-    const auto evaluate_range = [&](AttackEvaluator& evaluator,
-                                    std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        // Scenario boundaries are the pipeline's cancellation points:
-        // everything already evaluated is persisted, so stopping here loses
-        // no work. parallel_for_chunks rethrows this on the caller.
-        if (options_.cancel &&
-            options_.cancel->load(std::memory_order_relaxed)) {
-          throw ExperimentCancelled(setup_.tag());
-        }
+  // Longest first: with several workers the costly scenarios start early
+  // instead of piling up in the grid's tail. One worker keeps grid order.
+  if (sweep_workers(options_.max_workers) > 1) {
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const PendingScenario& a, const PendingScenario& b) {
+                       return cost_rank(a.scenario) > cost_rank(b.scenario);
+                     });
+  }
+  run_sweep_tasks(
+      pending.size(),
+      {options_.max_workers, options_.cancel, setup_.tag()},
+      [&] {
+        return std::make_unique<WorkerDeployment<AttackEvaluator>>(
+            zoo_, setup_, variant, variant.name, "", options_.corruption);
+      },
+      [&](WorkerDeployment<AttackEvaluator>& worker, std::size_t task) {
+        const attack::AttackScenario& scenario = pending[task].scenario;
         trace::Span scenario_span("pipeline", "scenario.evaluate");
         if (scenario_span.active()) {
-          scenario_span.arg("scenario", pending[i].id());
+          scenario_span.arg("scenario", scenario.id());
         }
-        const double accuracy = evaluator.evaluate_scenario(pending[i]);
-        store.put(pending_keys[i], accuracy);
+        const double accuracy = worker.evaluator.evaluate_scenario(scenario);
+        store.put(pending[task].key, accuracy);
         if (options_.verbose) {
           std::printf("  [pipeline] %-36s acc %.4f\n",
-                      pending[i].id().c_str(), accuracy);
+                      scenario.id().c_str(), accuracy);
           std::fflush(stdout);
         }
-      }
-    };
-    if (pending.size() < workers * 2) {
-      // Too few scenarios to keep a fan-out busy: evaluate inline on the
-      // calling thread, where the per-image inner loops still parallelize
-      // (inside a fan-out worker they would degrade to serial). A fresh
-      // model copy keeps this path identical to the worker path.
-      auto inline_model = zoo_.get_or_train(setup_, variant, false);
-      AttackEvaluator evaluator(setup_, *inline_model, variant.name, "",
-                                options_.corruption);
-      evaluate_range(evaluator, 0, pending.size());
-    } else {
-      // min_grain also caps the worker count: parallel_for_chunks spawns
-      // at most pending/grain workers.
-      const std::size_t grain = (pending.size() + workers - 1) / workers;
-      parallel_for_chunks(
-          0, pending.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            // Scenario evaluation corrupts and restores model weights, so
-            // every worker needs a private copy (cheap: a zoo cache load).
-            auto worker_model = zoo_.get_or_train(setup_, variant, false);
-            AttackEvaluator evaluator(setup_, *worker_model, variant.name,
-                                      "", options_.corruption);
-            evaluate_range(evaluator, lo, hi);
-          },
-          grain);
-    }
-  }
+      });
 
   // Assemble in grid order: execution order never leaks into the result.
   result.rows.reserve(grid.size());

@@ -6,9 +6,12 @@
 //   * the variant is trained (or loaded) through the ModelZoo exactly once;
 //   * the clean-baseline evaluation shared by every scenario of a sweep is
 //     computed once and cached, never per scenario;
-//   * uncached scenarios fan out over safelight::parallel_for_chunks, one
-//     private model copy + AttackEvaluator per worker thread (scenario
-//     evaluation mutates model weights, so workers must not share a model);
+//   * uncached scenarios run on the keyed-task engine
+//     (core/sweep_engine.hpp): with several workers they are handed over
+//     longest first (ranked from each scenario's own fields) and claimed one
+//     at a time, so no worker idles behind a static chunk; each worker owns
+//     one private model copy + AttackEvaluator (scenario evaluation mutates
+//     model weights, so workers must not share a model);
 //   * each finished scenario is appended to a ResultStore immediately, so
 //     an interrupted sweep resumes from the completed prefix.
 // Results are returned in grid order regardless of the execution order, so

@@ -1,7 +1,6 @@
 #include "core/susceptibility.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
 #include "core/experiment.hpp"
@@ -82,24 +81,6 @@ double SusceptibilityReport::worst_drop(attack::AttackVector vector,
                                         attack::AttackTarget target,
                                         double fraction) const {
   return baseline_accuracy - group(vector, target, fraction).accuracy.min;
-}
-
-std::vector<SusceptibilityRow> evaluate_grid(
-    AttackEvaluator& evaluator,
-    const std::vector<attack::AttackScenario>& scenarios, bool verbose) {
-  std::vector<SusceptibilityRow> rows;
-  rows.reserve(scenarios.size());
-  for (const auto& scenario : scenarios) {
-    SusceptibilityRow row;
-    row.scenario = scenario;
-    row.accuracy = evaluator.evaluate_scenario(scenario);
-    rows.push_back(row);
-    if (verbose) {
-      std::printf("  %-32s acc %.4f\n", scenario.id().c_str(), row.accuracy);
-      std::fflush(stdout);
-    }
-  }
-  return rows;
 }
 
 ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,

@@ -65,10 +65,4 @@ SusceptibilityReport run_susceptibility(const ExperimentSetup& setup,
                                         ModelZoo& zoo,
                                         const SusceptibilityOptions& options);
 
-/// Grid evaluation of an externally provided evaluator (used by the
-/// mitigation analysis to sweep variants).
-std::vector<SusceptibilityRow> evaluate_grid(
-    AttackEvaluator& evaluator,
-    const std::vector<attack::AttackScenario>& scenarios, bool verbose);
-
 }  // namespace safelight::core

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "core/campaign_eval.hpp"
 #include "core/evaluation.hpp"
+#include "core/experiment.hpp"
 #include "core/zoo.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
@@ -374,10 +375,17 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
       attack::burst_campaign("ambush", hotspot_all, /*lead_dormant=*/1,
                              /*trail_dormant=*/0);
 
-  core::CampaignOptions options;
-  options.cache_dir = dir.path();
-  const core::CampaignSweepReport first = core::run_campaign_sweep(
-      setup, zoo, core::variant_by_name("Original"), {creep, burst}, options);
+  const auto run_campaigns = [&](std::vector<CampaignSchedule> campaigns) {
+    core::ExperimentSpec spec =
+        core::ExperimentRegistry::global().default_spec("campaign", setup);
+    spec.campaigns = std::move(campaigns);
+    spec.cache_dir = dir.path();
+    core::RunContext context(zoo);
+    return core::ExperimentRegistry::global()
+        .run(spec, context)
+        .as<core::CampaignSweepReport>();
+  };
+  const core::CampaignSweepReport first = run_campaigns({creep, burst});
   ASSERT_EQ(first.campaigns.size(), 2u);
   EXPECT_EQ(first.evaluated, 4u);  // 2 + 2 phases
   EXPECT_EQ(first.cache_hits, 0u);
@@ -409,8 +417,7 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
 
   // Resume: a fresh sweep (new process in real life) re-evaluates nothing
   // and reproduces every number exactly.
-  const core::CampaignSweepReport second = core::run_campaign_sweep(
-      setup, zoo, core::variant_by_name("Original"), {creep, burst}, options);
+  const core::CampaignSweepReport second = run_campaigns({creep, burst});
   EXPECT_EQ(second.evaluated, 0u);
   EXPECT_EQ(second.cache_hits, 4u);
   for (std::size_t ci = 0; ci < first.campaigns.size(); ++ci) {
@@ -434,10 +441,7 @@ TEST(CampaignSweep, CachedResumableAndEvadesAStaticGridDetector) {
                    first.campaigns[1].phases[1].accuracy);
 
   // Duplicate campaign ids are rejected (they would collide in the store).
-  EXPECT_THROW(core::run_campaign_sweep(setup, zoo,
-                                        core::variant_by_name("Original"),
-                                        {creep, creep}, options),
-               std::invalid_argument);
+  EXPECT_THROW(run_campaigns({creep, creep}), std::invalid_argument);
 }
 
 }  // namespace

@@ -807,6 +807,42 @@ TEST(Json, ParserRejectsMalformedDocumentsWithByteOffset) {
   }
 }
 
+TEST(Json, ParserBoundsNestingDepth) {
+  // Hostile nesting fails as an ordinary parse error instead of
+  // overflowing the stack (100k '[' used to segfault the parser).
+  for (const std::string open : {"[", "{\"a\":"}) {
+    std::string deep;
+    for (int i = 0; i < 100000; ++i) deep += open;
+    try {
+      JsonValue::parse(deep);
+      FAIL() << "deep nesting parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_THROW(JsonValue::parse(nested(JsonValue::kMaxDepth + 1)),
+               std::invalid_argument);
+  // Up to the limit, nesting still parses.
+  JsonValue value = JsonValue::parse(nested(JsonValue::kMaxDepth));
+  for (std::size_t level = 1; level < JsonValue::kMaxDepth; ++level) {
+    ASSERT_EQ(value.as_array().size(), 1u);
+    value = JsonValue(value.as_array()[0]);
+  }
+  EXPECT_TRUE(value.as_array().empty());
+  EXPECT_EQ(JsonValue::parse("{\"a\":[{\"b\":[1,2]}]}")
+                .at("a")
+                .as_array()[0]
+                .at("b")
+                .as_array()
+                .size(),
+            2u);
+}
+
 TEST(Json, ParserAccessorsRejectTypeMismatches) {
   const JsonValue doc = JsonValue::parse("{\"n\":1.5,\"neg\":-1}");
   EXPECT_THROW(doc.at("n").as_string(), std::invalid_argument);

@@ -12,7 +12,6 @@
 
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
-#include "core/susceptibility.hpp"
 #include "test_util.hpp"
 
 namespace safelight::core {
@@ -369,9 +368,8 @@ TEST(Pipeline, DeterministicAcrossRunsAndMatchesSerial) {
   // And the serial reference path (AttackEvaluator loop) agrees too.
   auto model = zoo.get_or_train(setup, variant_by_name("Original"));
   AttackEvaluator evaluator(setup, *model, "Original", "");
-  const auto reference = evaluate_grid(evaluator, grid, /*verbose=*/false);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(reference[i].accuracy, a.rows[i].accuracy)
+    EXPECT_DOUBLE_EQ(evaluator.evaluate_scenario(grid[i]), a.rows[i].accuracy)
         << grid[i].id();
   }
 }

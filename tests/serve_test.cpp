@@ -806,6 +806,34 @@ TEST(ServeEndToEnd, RejectsBadSpecsAndUnknownRoutes) {
   EXPECT_EQ(fixture.shutdown(), 130);
 }
 
+TEST(ServeEndToEnd, DeeplyNestedBodyIsRejectedAndDaemonKeepsServing) {
+  ensure_block_experiment();
+  TempDir dir("serve_e2e_deep_json");
+  ServerFixture fixture(dir.path(), /*slots=*/1);
+  const std::uint16_t port = fixture.port();
+
+  // ~400 KB of '[' is under the body limit; it used to overflow the JSON
+  // parser's stack and kill the daemon.
+  const SimpleResponse deep = http_post(
+      port, "/v1/jobs",
+      "{\"experiment\": " + std::string(400 * 1024, '[') + "}");
+  EXPECT_EQ(deep.status, 400);
+  EXPECT_NE(deep.body.find("nesting deeper than"), std::string::npos)
+      << deep.body;
+
+  // The same daemon still runs a normal job to completion.
+  const SimpleResponse submitted =
+      http_post(port, "/v1/jobs", "{\"experiment\": \"test_block\"}");
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  const std::string job =
+      JsonValue::parse(submitted.body).at("job").as_string();
+  ASSERT_TRUE(wait_until([&] { return g_block_started.load() == 1; }, 10.0));
+  g_block_release.store(true);
+  ASSERT_TRUE(wait_until(
+      [&] { return poll_job_state(port, job) == "done"; }, 10.0));
+  EXPECT_EQ(http_get(port, "/v1/jobs/" + job + "/result").status, 200);
+}
+
 // ---------------------------------------------------------------------------
 // The real CLI as a child process: `serve` signal handling, `list --json`
 // ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
-#include "core/susceptibility.hpp"
 
 namespace sl = safelight;
 
@@ -22,19 +22,21 @@ int main(int argc, char** argv) {
   const sl::Scale scale = sl::config::scale() == sl::Scale::kDefault
                               ? sl::Scale::kTiny  // examples stay fast
                               : sl::config::scale();
-  const sl::core::ExperimentSetup setup = sl::core::experiment_setup(id, scale);
-
   std::printf("SafeLight susceptibility: %s at %s scale, %zu seeds\n",
               model_name.c_str(), sl::to_string(scale).c_str(), seeds);
 
+  const auto& registry = sl::core::ExperimentRegistry::global();
+  sl::core::ExperimentSpec spec = registry.default_spec("susceptibility");
+  spec.model = id;
+  spec.scale = scale;
+  spec.seed_count = seeds;
+  spec.verbose = true;
   sl::core::ModelZoo zoo;
-  sl::core::SusceptibilityOptions options;
-  options.seed_count = seeds;
-  options.verbose = true;
-  options.cache_dir = zoo.directory();
+  spec.cache_dir = zoo.directory();
+  sl::core::RunContext context(zoo);
 
-  const sl::core::SusceptibilityReport report =
-      sl::core::run_susceptibility(setup, zoo, options);
+  const sl::core::ExperimentResult result = registry.run(spec, context);
+  const auto& report = result.as<sl::core::SusceptibilityReport>();
 
   std::printf("\nbaseline accuracy: %.2f%%\n\n",
               report.baseline_accuracy * 100.0);

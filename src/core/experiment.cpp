@@ -338,7 +338,6 @@ ExperimentSetup ExperimentSpec::resolved_setup() const {
 }
 
 VariantSpec ExperimentSpec::resolved_variant() const {
-  if (variant_override) return *variant_override;
   return variant_by_name(variant, l2_strength);
 }
 
@@ -352,15 +351,8 @@ void ExperimentSpec::validate() const {
           "ExperimentSpec: clean_runs must be >= 1 — the detection sweep "
           "needs clean deployments for its ROC negative class");
   // Unknown variant names throw here (with the valid names listed) instead
-  // of deep inside a sweep after minutes of training. A full override is
-  // taken as-is (it needs no name lookup), it just must be nameable.
-  if (variant_override) {
-    require(!variant_override->name.empty(),
-            "ExperimentSpec: variant_override needs a non-empty name "
-            "(it keys zoo and result-store entries)");
-  } else {
-    variant_by_name(variant, l2_strength);
-  }
+  // of deep inside a sweep after minutes of training.
+  variant_by_name(variant, l2_strength);
   if (!robust_variant.empty()) variant_by_name(robust_variant, l2_strength);
 }
 

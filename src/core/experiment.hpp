@@ -1,17 +1,14 @@
 // Unified experiment API: one spec, one registry, one result shape.
 //
-// Historically each SafeLight sweep grew its own entry point
-// (run_susceptibility, run_mitigation, run_robust_compare,
-// run_detection_sweep, run_campaign_sweep), each with a hand-rolled
-// *Options struct and a bench main that re-implemented env parsing, table
-// printing and CSV writing. This module owns that shape once:
+// Every SafeLight sweep is reached through this one shape:
 //
-//   ExperimentSpec      — a tagged superset of the five Options structs;
+//   ExperimentSpec      — one tagged struct holding every experiment's knobs;
 //                         validated (no silent clamps), serializable into
 //                         the result metadata.
 //   RunContext          — what every run needs besides the spec: the shared
-//                         ModelZoo, an optional progress callback and an
-//                         optional cooperative cancellation flag.
+//                         ModelZoo, an optional progress callback, an
+//                         optional cooperative cancellation flag and, for
+//                         the distributed coordinator, a plan sink.
 //   ExperimentResult    — the typed report payload plus uniform CSV and
 //                         JSON serialization (byte-identical to the legacy
 //                         per-figure bench output, golden-pinned).
@@ -20,11 +17,6 @@
 //                         "campaign"); the `safelight` CLI, the bench
 //                         binaries and new callers (services, notebooks)
 //                         all go through it.
-//
-// The legacy run_susceptibility, run_mitigation and run_robust_compare
-// signatures still compile; they are thin shims that build a spec and
-// delegate here (see their headers). Detection and campaign sweeps are
-// reached through the registry only.
 #pragma once
 
 #include <atomic>
@@ -40,15 +32,15 @@
 #include "core/campaign_eval.hpp"
 #include "core/detection.hpp"
 #include "core/mitigation.hpp"
+#include "core/pipeline.hpp"
 #include "core/robust_compare.hpp"
 #include "core/susceptibility.hpp"
 
 namespace safelight::core {
 
-/// One spec describes one (experiment, model, scale) run completely. It is
-/// a superset of the five legacy Options structs; each experiment reads the
-/// fields it needs and ignores the rest (the unused fields keep their
-/// defaults and do not affect caching).
+/// One spec describes one (experiment, model, scale) run completely. Each
+/// experiment reads the fields it needs and ignores the rest (the unused
+/// fields keep their defaults and do not affect caching).
 struct ExperimentSpec {
   /// Registry key: "susceptibility", "mitigation", "robust_compare",
   /// "detection" or "campaign".
@@ -65,12 +57,6 @@ struct ExperimentSpec {
   /// Deployed variant (detection / campaign sweeps), resolved through
   /// variant_by_name(variant, l2_strength).
   std::string variant = "Original";
-  /// Full VariantSpec override for callers holding a variant that name +
-  /// l2_strength cannot reconstruct (custom noise sigma, non-paper name);
-  /// takes precedence over `variant` when set. The legacy detection /
-  /// campaign shims use it to pass their VariantSpec argument through
-  /// unchanged.
-  std::optional<VariantSpec> variant_override;
   /// robust_compare: pinned robust variant; empty selects via mitigation.
   std::string robust_variant;
   float l2_strength = kDefaultL2Strength;
@@ -98,8 +84,8 @@ struct ExperimentSpec {
   /// The setup this spec resolves to.
   ExperimentSetup resolved_setup() const;
 
-  /// The deployed variant this spec resolves to: variant_override when
-  /// set, else variant_by_name(variant, l2_strength).
+  /// The deployed variant this spec resolves to:
+  /// variant_by_name(variant, l2_strength).
   VariantSpec resolved_variant() const;
 
   /// Field-level validation with actionable messages: rejects
@@ -134,6 +120,10 @@ class RunContext {
   /// When non-null, experiments poll it between coarse work units and
   /// abort via ExperimentCancelled.
   const std::atomic<bool>* cancel = nullptr;
+  /// Plan pass (set only by the distributed coordinator): when non-null,
+  /// pipeline sweeps record their uncached cells here and evaluate nothing,
+  /// so the reports such a run returns hold placeholder accuracies.
+  std::vector<PendingSweep>* plan = nullptr;
 
   void note(const std::string& stage) const {
     if (progress) progress(stage);
@@ -232,7 +222,7 @@ class ExperimentRegistry {
 
   /// default_spec(name) with the setup fields filled from an existing
   /// ExperimentSetup (model, scale and the full setup override stay
-  /// consistent by construction — the legacy run_* shims build on this).
+  /// consistent by construction).
   ExperimentSpec default_spec(const std::string& name,
                               const ExperimentSetup& setup) const;
 
@@ -275,8 +265,7 @@ ExperimentSpec spec_from_json(const std::string& text);
 std::string registry_listing_json();
 
 // Spec-driven runners of the five built-in experiments (the registry's run
-// functions; the legacy run_* signatures shim onto these through the
-// registry). Defined next to each sweep's internals.
+// functions). Defined next to each sweep's internals.
 ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
                                                RunContext& context);
 ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,

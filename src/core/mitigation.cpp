@@ -13,20 +13,13 @@ namespace {
 /// The sweep proper, in the unified-API shape: spec in, typed report out.
 MitigationReport mitigation_impl(const ExperimentSpec& spec,
                                  RunContext& context) {
-  const ExperimentSetup setup = spec.resolved_setup();
+  ScenarioPipeline pipeline(spec, context);
+  const ExperimentSetup& setup = pipeline.setup();
   const auto scenarios =
       attack::paper_scenario_grid(spec.seed_count, spec.base_seed);
 
   MitigationReport report;
   report.model = setup.model;
-
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
 
   for (const VariantSpec& variant : paper_variants(spec.l2_strength)) {
     context.throw_if_cancelled("mitigation");
@@ -89,19 +82,6 @@ ExperimentResult run_mitigation_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = mitigation_impl(spec, context);
   return result;
-}
-
-MitigationReport run_mitigation(const ExperimentSetup& setup, ModelZoo& zoo,
-                                const MitigationOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("mitigation", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.l2_strength = options.l2_strength;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global().run(spec, context).as<MitigationReport>();
 }
 
 }  // namespace safelight::core

@@ -60,6 +60,16 @@ ScenarioPipeline::ScenarioPipeline(const ExperimentSetup& setup, ModelZoo& zoo,
                                    PipelineOptions options)
     : setup_(setup), zoo_(zoo), options_(std::move(options)) {}
 
+ScenarioPipeline::ScenarioPipeline(const ExperimentSpec& spec,
+                                   const RunContext& context)
+    : ScenarioPipeline(spec.resolved_setup(), context.zoo(),
+                       {.cache_dir = spec.cache_dir,
+                        .max_workers = spec.max_workers,
+                        .verbose = spec.verbose,
+                        .corruption = spec.corruption,
+                        .cancel = context.cancel,
+                        .plan = context.plan}) {}
+
 SweepResult ScenarioPipeline::run(
     const VariantSpec& variant,
     const std::vector<attack::AttackScenario>& grid) {
@@ -73,12 +83,11 @@ SweepResult ScenarioPipeline::run(
   auto model = zoo_.get_or_train(setup_, variant, options_.verbose);
   const std::string checksum = weights_checksum(*model);
 
-  std::string csv_path, jsonl_path;
+  std::string base, csv_path, jsonl_path;
   if (!options_.cache_dir.empty()) {
     std::filesystem::create_directories(options_.cache_dir);
-    const std::string base =
-        sweep_store_stem(options_.cache_dir, setup_, variant.name, checksum,
-                         options_.corruption);
+    base = sweep_store_stem(options_.cache_dir, setup_, variant.name, checksum,
+                            options_.corruption);
     csv_path = base + ".sweep.csv";
     if (options_.stream_jsonl) jsonl_path = base + ".sweep.jsonl";
   }
@@ -93,7 +102,7 @@ SweepResult ScenarioPipeline::run(
   if (const auto cached = store.lookup(baseline_key)) {
     result.baseline_accuracy = *cached;
     result.baseline_from_cache = true;
-  } else {
+  } else if (options_.plan == nullptr) {
     AttackEvaluator evaluator(setup_, *model, variant.name, "",
                               options_.corruption);
     result.baseline_accuracy = evaluator.baseline_accuracy();
@@ -114,6 +123,18 @@ SweepResult ScenarioPipeline::run(
     if (!store.contains(key) && fresh_keys.insert(key).second) {
       pending.push_back({scenario, std::move(key)});
     }
+  }
+
+  if (options_.plan != nullptr) {
+    if (!result.baseline_from_cache || !pending.empty()) {
+      PendingSweep sweep{setup_, variant,
+                         std::filesystem::path(base).filename().string(),
+                         attack::config_fingerprint(options_.corruption),
+                         !result.baseline_from_cache, {}};
+      for (const auto& p : pending) sweep.scenarios.push_back(p.scenario);
+      options_.plan->push_back(std::move(sweep));
+    }
+    pending.clear();
   }
   result.evaluated = pending.size();
 
@@ -152,10 +173,11 @@ SweepResult ScenarioPipeline::run(
   for (const auto& scenario : grid) {
     const std::string key = scenario_store_key(scenario, setup_.eval_count);
     const auto value = store.lookup(key);
-    SAFELIGHT_ASSERT(value.has_value(), "pipeline: result missing after sweep");
+    SAFELIGHT_ASSERT(value.has_value() || options_.plan != nullptr,
+                     "pipeline: result missing after sweep");
     ScenarioOutcome outcome;
     outcome.scenario = scenario;
-    outcome.accuracy = *value;
+    outcome.accuracy = value.value_or(0.0);
     outcome.from_cache = fresh_keys.count(key) == 0;
     if (outcome.from_cache) ++result.cache_hits;
     result.rows.push_back(outcome);

@@ -17,6 +17,12 @@
 // Results are returned in grid order regardless of the execution order, so
 // a sweep's output is deterministic in (setup, variant, grid) and identical
 // between serial and parallel runs.
+//
+// A plan pass (PipelineOptions::plan set) runs the same lookup but evaluates
+// nothing: it records the sweep's uncached cells as a PendingSweep and fills
+// their rows with placeholders. The distributed coordinator plans this way by
+// running the experiment itself, so it never restates which sweeps an
+// experiment runs.
 #pragma once
 
 #include <atomic>
@@ -31,6 +37,19 @@
 #include "core/zoo.hpp"
 
 namespace safelight::core {
+
+struct ExperimentSpec;
+class RunContext;
+
+/// The uncached cells of one sweep, as a plan pass records them.
+struct PendingSweep {
+  ExperimentSetup setup;
+  VariantSpec variant;
+  std::string store_stem;   // store file stem, no directory, no extension
+  std::string fingerprint;  // attack::config_fingerprint of the corruption
+  bool baseline = false;    // the clean baseline is not cached either
+  std::vector<attack::AttackScenario> scenarios;  // uncached, grid order
+};
 
 /// Knobs of a pipeline instance; shared by every sweep it runs.
 struct PipelineOptions {
@@ -54,6 +73,10 @@ struct PipelineOptions {
   /// throwing ExperimentCancelled — everything evaluated so far is already
   /// in the ResultStore, so a rerun resumes from the completed prefix.
   const std::atomic<bool>* cancel = nullptr;
+  /// Plan pass: when non-null, run() evaluates and stores nothing. It
+  /// appends the sweep's uncached cells to this sink and reports them (and
+  /// an uncached baseline) as 0.0, never NaN, since box_stats sorts values.
+  std::vector<PendingSweep>* plan = nullptr;
 };
 
 /// One evaluated grid entry.
@@ -84,8 +107,7 @@ struct SweepResult {
 
 /// Store key of a scenario: its stable id plus the evaluation subset size
 /// (a larger eval_count is a different measurement). Shared by the pipeline
-/// and the distributed planner — the coordinator decides "already cached?"
-/// with exactly the key the pipeline will later look up.
+/// and the distributed workers, which fill the keys a plan pass recorded.
 std::string scenario_store_key(const attack::AttackScenario& scenario,
                                std::size_t eval_count);
 
@@ -111,6 +133,11 @@ class ScenarioPipeline {
  public:
   ScenarioPipeline(const ExperimentSetup& setup, ModelZoo& zoo,
                    PipelineOptions options = {});
+
+  /// The pipeline an experiment sweeps with: the spec's resolved setup,
+  /// store directory, worker cap, verbosity and corruption, plus the
+  /// context's zoo, cancellation flag and plan sink.
+  ScenarioPipeline(const ExperimentSpec& spec, const RunContext& context);
 
   /// Evaluates `variant` under every scenario in `grid`. Trains/loads the
   /// variant via the zoo, dedupes the baseline, evaluates uncached

@@ -18,6 +18,10 @@ const RobustComparisonCell& RobustComparisonReport::cell(
   fail_argument("RobustComparisonReport::cell: no such cell");
 }
 
+namespace {
+
+/// The inner mitigation spec robust_compare uses to select its robust
+/// variant when `spec.robust_variant` is empty.
 ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
   // Mitigation's own defaults keep its paper seed count (3); only the
   // settings that define "the same experiment" carry over. The selection
@@ -37,23 +41,9 @@ ExperimentSpec robust_compare_selection_spec(const ExperimentSpec& spec) {
   return mitigation_spec;
 }
 
-std::vector<attack::AttackScenario> robust_compare_grid(
-    const ExperimentSpec& spec) {
-  // One combined grid (2 vectors x 3 fractions x seeds on CONV+FC), swept
-  // once per model; cells are sliced out afterwards.
-  return attack::scenario_grid(
-      {attack::AttackVector::kActuation, attack::AttackVector::kHotspot},
-      {attack::AttackTarget::kBothBlocks}, {0.01, 0.05, 0.10},
-      spec.seed_count, spec.base_seed);
-}
-
-namespace {
-
 /// The comparison proper, in the unified-API shape: spec in, report out.
 RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
                                            RunContext& context) {
-  const ExperimentSetup setup = spec.resolved_setup();
-
   std::string robust_name = spec.robust_variant;
   if (robust_name.empty()) {
     // Select via the mitigation sweep at its own paper seed count (3).
@@ -63,18 +53,20 @@ RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
                       .as<MitigationReport>()
                       .best_robust()
                       .variant.name;
+    // A plan pass ranked the variants on placeholder accuracies; the
+    // comparison is planned by the next pass, once the selection is cached.
+    if (context.plan != nullptr && !context.plan->empty()) return {};
   }
   context.throw_if_cancelled("robust_compare");
 
-  const auto grid = robust_compare_grid(spec);
+  // One combined grid (2 vectors x 3 fractions x seeds on CONV+FC), swept
+  // once per model; cells are sliced out afterwards.
+  const auto grid = attack::scenario_grid(
+      {attack::AttackVector::kActuation, attack::AttackVector::kHotspot},
+      {attack::AttackTarget::kBothBlocks}, {0.01, 0.05, 0.10},
+      spec.seed_count, spec.base_seed);
 
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
+  ScenarioPipeline pipeline(spec, context);
   context.note("robust_compare: sweeping Original vs " + robust_name);
   const SweepResult original_sweep =
       pipeline.run(variant_by_name("Original"), grid);
@@ -82,7 +74,7 @@ RobustComparisonReport robust_compare_impl(const ExperimentSpec& spec,
       variant_by_name(robust_name, spec.l2_strength), grid);
 
   RobustComparisonReport report;
-  report.model = setup.model;
+  report.model = pipeline.setup().model;
   report.robust_variant_name = robust_name;
   report.original_baseline = original_sweep.baseline_accuracy;
   report.robust_baseline = robust_sweep.baseline_accuracy;
@@ -118,23 +110,6 @@ ExperimentResult run_robust_compare_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = robust_compare_impl(spec, context);
   return result;
-}
-
-RobustComparisonReport run_robust_compare(
-    const ExperimentSetup& setup, ModelZoo& zoo,
-    const RobustCompareOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("robust_compare", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.l2_strength = options.l2_strength;
-  spec.robust_variant = options.robust_variant;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<RobustComparisonReport>();
 }
 
 }  // namespace safelight::core

@@ -20,15 +20,9 @@ bool scenario_in_group(const attack::AttackScenario& s,
 /// The sweep proper, in the unified-API shape: spec in, typed report out.
 SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
                                          RunContext& context) {
-  const ExperimentSetup setup = spec.resolved_setup();
+  ScenarioPipeline pipeline(spec, context);
+  const ExperimentSetup& setup = pipeline.setup();
   context.note("susceptibility: sweep " + setup.tag());
-  PipelineOptions pipeline_options;
-  pipeline_options.cache_dir = spec.cache_dir;
-  pipeline_options.max_workers = spec.max_workers;
-  pipeline_options.verbose = spec.verbose;
-  pipeline_options.corruption = spec.corruption;
-  pipeline_options.cancel = context.cancel;
-  ScenarioPipeline pipeline(setup, context.zoo(), pipeline_options);
   const SweepResult sweep = pipeline.run_paper_grid(
       variant_by_name("Original"), spec.seed_count, spec.base_seed);
 
@@ -54,7 +48,7 @@ SusceptibilityReport susceptibility_impl(const ExperimentSpec& spec,
           }
         }
         SAFELIGHT_ASSERT(!values.empty(),
-                         "run_susceptibility: empty scenario group");
+                         "susceptibility: empty scenario group");
         report.groups.push_back(
             {vector, target, fraction, box_stats(std::move(values))});
       }
@@ -89,21 +83,6 @@ ExperimentResult run_susceptibility_experiment(const ExperimentSpec& spec,
   ExperimentResult result;
   result.payload = susceptibility_impl(spec, context);
   return result;
-}
-
-SusceptibilityReport run_susceptibility(
-    const ExperimentSetup& setup, ModelZoo& zoo,
-    const SusceptibilityOptions& options) {
-  ExperimentSpec spec =
-      ExperimentRegistry::global().default_spec("susceptibility", setup);
-  spec.seed_count = options.seed_count;
-  spec.base_seed = options.base_seed;
-  spec.cache_dir = options.cache_dir;
-  spec.verbose = options.verbose;
-  RunContext context(zoo);
-  return ExperimentRegistry::global()
-      .run(spec, context)
-      .as<SusceptibilityReport>();
 }
 
 }  // namespace safelight::core

@@ -17,19 +17,20 @@
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attacks/corruption.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/zoo.hpp"
-#include "common/config.hpp"
-#include "dist/plan.hpp"
 #include "dist/protocol.hpp"
 #include "dist/store_merge.hpp"
 #include "nn/backend.hpp"
@@ -117,8 +118,11 @@ class Coordinator {
         spec_(spec),
         zoo_(zoo),
         options_(options),
-        summary_(summary),
-        planner_(experiment_, spec) {
+        summary_(summary) {
+    spec_.experiment = experiment_;
+    // Resolved once: every plan pass reruns the experiment, and resolving
+    // the canonical setup instantiates the model.
+    spec_.setup = spec_.resolved_setup();
     require(options_.workers >= 1, "run_distributed: workers must be >= 1");
     // The fingerprint every worker hello must match: identical across
     // hosts and backend variants for a conforming binary, different only
@@ -166,14 +170,11 @@ class Coordinator {
       }
     }
     DistStatus status = DistStatus::kComplete;
-    while (auto tasks = planner_.next_round(
-               zoo_, {options_.workers, options_.chunk_size})) {
+    for (auto tasks = plan_pass(); !tasks.empty(); tasks = plan_pass()) {
       ++summary_.rounds;
-      if (tasks->empty()) continue;
-      run_round(*tasks);
+      run_round(tasks);
       if (!summary_.quarantined.empty()) {
-        // A later round planned on top of a quarantined one would silently
-        // recompute the lost cells in-process; stop loudly instead.
+        // A later pass would plan the lost cells again; stop loudly instead.
         status = DistStatus::kQuarantined;
         break;
       }
@@ -727,6 +728,70 @@ class Coordinator {
 
   // ---- rounds -------------------------------------------------------------
 
+  /// Runs the experiment with a plan sink: its pipeline sweeps train their
+  /// variants here (workers only ever load finished zoo entries) and record
+  /// the uncached cells instead of evaluating them. Returns those cells as
+  /// tasks; none means every cell the experiment reads is cached. A cell
+  /// planned again after a round completed means the workers did not fill
+  /// it, which is a hard error rather than an endless loop.
+  std::vector<TaskMessage> plan_pass() {
+    std::vector<core::PendingSweep> pending;
+    core::RunContext context(zoo_);
+    context.cancel = options_.cancel;
+    context.plan = &pending;
+    core::ExperimentRegistry::global().run(spec_, context);
+
+    std::vector<std::string> cells;  // "<store stem>/<store key>"
+    for (const core::PendingSweep& sweep : pending) {
+      const std::size_t eval_count = sweep.setup.eval_count;
+      if (sweep.baseline) {
+        cells.push_back(sweep.store_stem + "/" +
+                        core::baseline_store_key(eval_count));
+      }
+      for (const auto& scenario : sweep.scenarios) {
+        cells.push_back(sweep.store_stem + "/" +
+                        core::scenario_store_key(scenario, eval_count));
+      }
+    }
+    for (const std::string& cell : cells) {
+      if (planned_cells_.count(cell) > 0) {
+        throw std::runtime_error("run_distributed: " + cell +
+                                 " is still uncached after the workers "
+                                 "reported it done");
+      }
+    }
+    planned_cells_.insert(cells.begin(), cells.end());
+    // Small enough that a lost task forfeits little work, large enough that
+    // per-task protocol and model-load overhead stays amortized.
+    const std::size_t chunk =
+        std::clamp<std::size_t>(cells.size() / (options_.workers * 4), 1, 32);
+
+    std::vector<TaskMessage> tasks;
+    for (const core::PendingSweep& sweep : pending) {
+      bool first = true;
+      for (std::size_t begin = 0;
+           begin < sweep.scenarios.size() || (first && sweep.baseline);
+           begin += chunk) {
+        TaskMessage task;
+        task.id = next_task_id_++;
+        task.model = nn::to_string(sweep.setup.model);
+        task.scale = to_string(sweep.setup.scale);
+        task.variant = sweep.variant.name;
+        task.l2_strength = spec_.l2_strength;
+        task.store_stem = sweep.store_stem;
+        task.fingerprint = sweep.fingerprint;
+        task.baseline = first && sweep.baseline;  // ride on the first chunk
+        const std::size_t end =
+            std::min(begin + chunk, sweep.scenarios.size());
+        task.scenarios.assign(sweep.scenarios.begin() + begin,
+                              sweep.scenarios.begin() + end);
+        tasks.push_back(std::move(task));
+        first = false;
+      }
+    }
+    return tasks;
+  }
+
   void run_round(const std::vector<TaskMessage>& round_tasks) {
     summary_.tasks += round_tasks.size();
     round_total_ = round_tasks.size();
@@ -742,8 +807,8 @@ class Coordinator {
       pending_.push_back(task.id);
       tasks_.emplace(task.id, std::move(state));
     }
-    // The planner may have spent a while training/merging since the last
-    // event read; do not count that silence against the workers.
+    // The plan pass may have spent a while training since the last event
+    // read; do not count that silence against the workers.
     const Clock::time_point round_start = Clock::now();
     for (WorkerSlot& slot : slots_) {
       if (slot.alive) slot.last_heard = round_start;
@@ -866,11 +931,12 @@ class Coordinator {
   }
 
   std::string experiment_;
-  const core::ExperimentSpec& spec_;
+  core::ExperimentSpec spec_;
   core::ModelZoo& zoo_;
   const DistOptions& options_;
   DistSummary& summary_;
-  DistPlanner planner_;
+  std::set<std::string> planned_cells_;  // every cell dispatched so far
+  std::uint64_t next_task_id_ = 1;
   std::string binary_;
   std::string expected_kernel_;
   std::string dist_dir_;
@@ -888,6 +954,21 @@ DistStatus run_distributed(const std::string& experiment,
                            const core::ExperimentSpec& spec,
                            core::ModelZoo& zoo, const DistOptions& options,
                            DistSummary& summary) {
+  require(!spec.cache_dir.empty(),
+          "run_distributed: spec.cache_dir must be set (distribution works "
+          "by warming the persistent result stores)");
+  // Workers rebuild the canonical experiment_setup(model, scale) and
+  // evaluate default corruption physics; anything else they would either
+  // refuse on every task or cache under the wrong store.
+  require(!spec.setup.has_value(),
+          "run_distributed: a spec.setup override cannot be distributed "
+          "(workers rebuild experiment_setup(model, scale)); run it "
+          "in-process");
+  require(attack::config_fingerprint(spec.corruption) ==
+              attack::config_fingerprint(attack::CorruptionConfig{}),
+          "run_distributed: a non-default spec.corruption cannot be "
+          "distributed (workers evaluate the default physics); run it "
+          "in-process");
   SigpipeGuard sigpipe;
   Coordinator coordinator(experiment, spec, zoo, options, summary);
   return coordinator.run();

@@ -1,8 +1,15 @@
 // Fault-tolerant sweep coordinator.
 //
-// Spawns N `safelight worker` subprocesses, streams the DistPlanner's task
-// rounds to them over NDJSON pipes, and survives everything a worker can do
-// wrong:
+// Plans by running the experiment itself: a plan pass is an ordinary
+// registry run whose RunContext carries a plan sink, so every pipeline sweep
+// records its uncached cells instead of evaluating them (core/pipeline.hpp).
+// Those cells are chunked into tasks for N `safelight worker` subprocesses,
+// streamed to them over NDJSON pipes, merged, and the next pass plans again
+// until one records nothing. A sequential dependency such as
+// robust_compare's variant selection thus takes one extra pass, not special
+// code here. Experiments with no pipeline sweep (detection, campaign) run in
+// full during their first pass and dispatch nothing. The coordinator
+// survives everything a worker can do wrong:
 //   * crash (any exit, including PR 6's injected std::_Exit(42) plug pulls)
 //     -> the in-flight task is requeued with capped exponential backoff and
 //        the slot is respawned; the replacement resumes from the slot's own
@@ -19,9 +26,9 @@
 // speculation can only hide stragglers, never corrupt results.
 //
 // After each round the per-slot stores are folded into the canonical ones
-// (dist/store_merge.hpp), and the caller replays the experiment in-process
-// against the warmed cache — distributed output is therefore byte-identical
-// to a single-process run by construction.
+// (dist/store_merge.hpp). Once planning ends, the caller replays the
+// experiment in-process against the warmed cache — distributed output is
+// therefore byte-identical to a single-process run by construction.
 #pragma once
 
 #include <atomic>
@@ -60,8 +67,6 @@ struct DistOptions {
   /// chaos_seed) — the chaos harness that proves crash recovery end to end.
   double chaos_kill_prob = 0.0;
   std::uint64_t chaos_seed = 1;
-  /// Scenarios per task; 0 = auto (see PlanOptions).
-  std::size_t chunk_size = 0;
   /// Worker binary; empty resolves SAFELIGHT_DIST_BIN, then /proc/self/exe.
   std::string binary;
   bool verbose = false;
@@ -81,13 +86,13 @@ struct QuarantinedTask {
 
 struct DistSummary {
   std::size_t workers = 0;
-  std::size_t tasks = 0;      // tasks planned across all rounds
+  std::size_t tasks = 0;      // tasks dispatched across all rounds
   std::size_t completed = 0;  // tasks finished (done event received)
   std::size_t retries = 0;    // requeues after a failure
   std::size_t crashes = 0;    // worker deaths (incl. injected plug pulls)
   std::size_t hang_kills = 0; // heartbeat-timeout SIGKILLs
   std::size_t steals = 0;     // work-stealing speculative duplicates sent
-  std::size_t rounds = 0;
+  std::size_t rounds = 0;     // plan passes that dispatched work
   std::size_t merged_rows = 0;
   std::size_t merge_duplicates = 0;
   std::vector<QuarantinedTask> quarantined;
@@ -100,11 +105,14 @@ enum class DistStatus {
                  // surface the loss and exit nonzero
 };
 
-/// Runs `experiment` (must be DistPlanner::shardable) distributed across
-/// options.workers subprocesses, warming spec.cache_dir's stores. Prints a
-/// one-line machine-parsable summary ("[dist] summary: ...") on completion.
-/// Throws core::ExperimentCancelled on cancel, std::runtime_error on a
-/// store-merge conflict or spawn failure.
+/// Runs `experiment` distributed across options.workers subprocesses,
+/// warming spec.cache_dir's stores. Prints a one-line machine-parsable
+/// summary ("[dist] summary: ...") on completion. Throws
+/// std::invalid_argument before spawning anything when the spec is one the
+/// workers cannot reproduce (empty cache_dir, a spec.setup override, a
+/// non-default spec.corruption); core::ExperimentCancelled on cancel;
+/// std::runtime_error on a store-merge conflict, a spawn failure, or a cell
+/// still uncached after its task completed.
 DistStatus run_distributed(const std::string& experiment,
                            const core::ExperimentSpec& spec,
                            core::ModelZoo& zoo, const DistOptions& options,

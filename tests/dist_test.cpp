@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -275,6 +276,62 @@ TEST(StoreMerge, MergedFileIsALoadableResultStore) {
 // Coordinator timing
 // ---------------------------------------------------------------------------
 
+/// Number of `*.sweep.csv` store files anywhere under `dir`.
+std::size_t sweep_store_files(const std::string& dir) {
+  std::size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".sweep.csv")) ++count;
+  }
+  return count;
+}
+
+/// A spec every check below accepts except the one field under test.
+core::ExperimentSpec distributable_spec(const std::string& cache_dir) {
+  core::ExperimentSpec spec =
+      core::ExperimentRegistry::global().default_spec("susceptibility");
+  spec.model = nn::ModelId::kCnn1;
+  spec.scale = Scale::kTiny;
+  spec.seed_count = 1;
+  spec.cache_dir = cache_dir;
+  return spec;
+}
+
+TEST(Coordinator, NonDefaultCorruptionIsRejectedBeforeAnyWork) {
+  // Workers evaluate the default physics and refuse a task whose
+  // fingerprint differs: without the up-front check every task was retried,
+  // quarantined and reported as a misleading lost-scenario failure.
+  TempDir dir("dist_reject_corruption");
+  core::ModelZoo zoo(dir.path());
+  core::ExperimentSpec spec = distributable_spec(dir.path());
+  spec.corruption.actuation.park_spacing_fraction = 0.02;
+  dist::DistSummary summary;
+  EXPECT_THROW(dist::run_distributed("susceptibility", spec, zoo,
+                                     dist::DistOptions{}, summary),
+               std::invalid_argument);
+  EXPECT_EQ(summary.tasks, 0u);
+  EXPECT_EQ(sweep_store_files(dir.path()), 0u);
+}
+
+TEST(Coordinator, SetupOverrideIsRejectedBeforeAnyWork) {
+  // Workers rebuild experiment_setup(model, scale); an overridden setup
+  // would have them cache canonical-setup accuracies under the override's
+  // store stem, which the assembly run then trusts.
+  TempDir dir("dist_reject_setup");
+  core::ModelZoo zoo(dir.path());
+  core::ExperimentSpec spec = distributable_spec(dir.path());
+  core::ExperimentSetup setup = spec.resolved_setup();
+  setup.eval_count /= 2;
+  spec.setup = setup;
+  dist::DistSummary summary;
+  EXPECT_THROW(dist::run_distributed("susceptibility", spec, zoo,
+                                     dist::DistOptions{}, summary),
+               std::invalid_argument);
+  EXPECT_EQ(summary.tasks, 0u);
+  EXPECT_EQ(sweep_store_files(dir.path()), 0u);
+}
+
 TEST(Coordinator, LivenessClockIsPinnedSteady) {
   // All heartbeat/backoff/drain bookkeeping runs on CoordinatorClock; a
   // wall clock here would let one NTP step expire every worker's heartbeat
@@ -294,21 +351,21 @@ constexpr double kRunTimeoutSeconds = 240.0;
 struct DistRunResult {
   ProcessResult proc;
   std::map<std::string, std::string> summary;  // parsed "[dist] summary:" k=v
-  std::string csv_bytes;                       // fig7_susceptibility.csv
-  std::string json_bytes;                      // susceptibility_cnn1.json
+  std::string csv_bytes;   // the experiment's first CSV, e.g. fig7_*.csv
+  std::string json_bytes;  // <experiment>_cnn1.json
 };
 
-/// Runs `safelight run susceptibility` (cnn1, tiny, 2 seeds, 1 thread) in
-/// `dir` with extra flags/env; parses the dist summary line when present.
-DistRunResult run_susceptibility(const std::string& dir,
-                                 const std::vector<std::string>& extra_flags,
-                                 const std::vector<std::string>& extra_env,
-                                 double kill_after_s = 0.0,
-                                 int kill_signal = 0) {
+/// Runs `safelight run <experiment>` (cnn1, tiny, `seeds` seeds, 1 thread)
+/// in `dir` with extra flags/env; parses the dist summary line when present.
+DistRunResult run_experiment(const std::string& experiment,
+                             const std::string& seeds, const std::string& dir,
+                             const std::vector<std::string>& extra_flags,
+                             const std::vector<std::string>& extra_env = {},
+                             double kill_after_s = 0.0, int kill_signal = 0) {
   std::vector<std::string> argv = {
-      SAFELIGHT_CLI_BIN, "run",     "susceptibility",
+      SAFELIGHT_CLI_BIN, "run",     experiment,
       "--model",         "cnn1",    "--scale",
-      "tiny",            "--seeds", "2",
+      "tiny",            "--seeds", seeds,
       "--threads",       "1",       "--zoo",
       dir + "/zoo",      "--out",   dir + "/out",
       "--json"};
@@ -330,9 +387,22 @@ DistRunResult run_susceptibility(const std::string& dir,
       }
     }
   }
-  result.csv_bytes = read_file_bytes(dir + "/out/fig7_susceptibility.csv");
-  result.json_bytes = read_file_bytes(dir + "/out/susceptibility_cnn1.json");
+  const std::string csv_stem =
+      core::ExperimentRegistry::global().info(experiment).csv_files.front();
+  result.csv_bytes = read_file_bytes(dir + "/out/" + csv_stem + ".csv");
+  result.json_bytes =
+      read_file_bytes(dir + "/out/" + experiment + "_cnn1.json");
   return result;
+}
+
+/// The susceptibility run (2 seeds) most tests below distribute.
+DistRunResult run_susceptibility(const std::string& dir,
+                                 const std::vector<std::string>& extra_flags,
+                                 const std::vector<std::string>& extra_env,
+                                 double kill_after_s = 0.0,
+                                 int kill_signal = 0) {
+  return run_experiment("susceptibility", "2", dir, extra_flags, extra_env,
+                        kill_after_s, kill_signal);
 }
 
 std::uint64_t summary_count(const DistRunResult& result,
@@ -452,7 +522,7 @@ TEST(DistRun, SecondRunIsFullyCachedAndPlansNoTasks) {
   const DistRunResult first =
       run_susceptibility(dir.path(), {"--workers", "2"}, {});
   ASSERT_EQ(first.proc.exit_code, 0) << first.proc.stderr_text;
-  // Same spec, same cache: the planner must find every cell cached and
+  // Same spec, same cache: the plan pass must find every cell cached and
   // dispatch nothing.
   const DistRunResult second =
       run_susceptibility(dir.path(), {"--workers", "2"}, {});
@@ -556,22 +626,47 @@ TEST(DistRun, SigtermExitsGracefullyWith130AndResumeHint) {
       << proc.stderr_text;
 }
 
-TEST(DistRun, NonShardableExperimentFallsBackInProcessWithANote) {
-  TempDir dir("dist_fallback");
-  std::vector<std::string> argv = {
-      SAFELIGHT_CLI_BIN, "run",     "detection",
-      "--model",         "cnn1",    "--scale",
-      "tiny",            "--seeds", "1",
-      "--threads",       "1",       "--workers",
-      "2",               "--zoo",   dir.path() + "/zoo",
-      "--out",           dir.path() + "/out"};
-  const ProcessResult proc =
-      run_process(argv, {}, dir.path(), kRunTimeoutSeconds);
-  ASSERT_EQ(proc.exit_code, 0) << proc.stderr_text;
-  EXPECT_NE(proc.stdout_text.find(
-                "[dist] note: experiment 'detection' is not shardable"),
-            std::string::npos)
-      << proc.stdout_text;
+TEST(DistRun, RobustCompareTwoWorkersMatchSingleProcessBitwise) {
+  // robust_compare picks its variant from the mitigation sweep, so the
+  // first plan pass dispatches the 11 selection sweeps (3 seeds) and the
+  // second the Original-vs-robust comparison cells the selection did not
+  // cover (the 4th seed); the third finds everything cached.
+  TempDir reference_dir("dist_robust_reference");
+  const DistRunResult reference =
+      run_experiment("robust_compare", "4", reference_dir.path(), {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+  ASSERT_FALSE(reference.csv_bytes.empty());
+
+  TempDir dir("dist_robust_two_workers");
+  const DistRunResult run = run_experiment("robust_compare", "4", dir.path(),
+                                           {"--workers", "2"});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  ASSERT_FALSE(run.summary.empty()) << run.proc.stdout_text;
+  EXPECT_EQ(summary_count(run, "rounds"), 2u) << run.proc.stdout_text;
+  EXPECT_GE(summary_count(run, "tasks"), 2u);
+  EXPECT_EQ(summary_count(run, "completed"), summary_count(run, "tasks"));
+  EXPECT_EQ(summary_count(run, "quarantined"), 0u);
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+  EXPECT_EQ(run.json_bytes, reference.json_bytes);
+}
+
+TEST(DistRun, DetectionWithWorkersMatchesInProcessBitwise) {
+  // Detection has no pipeline sweep: its plan pass runs it in full and
+  // dispatches nothing, and the output equals a run without --workers.
+  TempDir reference_dir("dist_detection_reference");
+  const DistRunResult reference =
+      run_experiment("detection", "1", reference_dir.path(), {});
+  ASSERT_EQ(reference.proc.exit_code, 0) << reference.proc.stderr_text;
+  ASSERT_FALSE(reference.csv_bytes.empty());
+
+  TempDir dir("dist_detection_workers");
+  const DistRunResult run =
+      run_experiment("detection", "1", dir.path(), {"--workers", "2"});
+  ASSERT_EQ(run.proc.exit_code, 0) << run.proc.stderr_text;
+  ASSERT_FALSE(run.summary.empty()) << run.proc.stdout_text;
+  EXPECT_EQ(summary_count(run, "tasks"), 0u);
+  EXPECT_EQ(run.csv_bytes, reference.csv_bytes);
+  EXPECT_EQ(run.json_bytes, reference.json_bytes);
 }
 
 }  // namespace

@@ -14,10 +14,9 @@
 #include "accel/vdp.hpp"
 #include "attacks/reference_exec.hpp"
 #include "core/evaluation.hpp"
+#include "core/experiment.hpp"
 #include "nn/linear.hpp"
 #include "nn/pool.hpp"
-#include "core/mitigation.hpp"
-#include "core/susceptibility.hpp"
 #include "nn/serialize.hpp"
 
 namespace safelight {
@@ -105,11 +104,15 @@ TEST_F(IntegrationFixture, TrainAttackMitigateRecovers) {
 
 TEST_F(IntegrationFixture, SusceptibilityReportShape) {
   core::ModelZoo zoo(dir_);
-  core::SusceptibilityOptions options;
-  options.seed_count = 2;
-  options.cache_dir = dir_;
-  const core::SusceptibilityReport report =
-      core::run_susceptibility(setup_, zoo, options);
+  core::RunContext context(zoo);
+  core::ExperimentSpec spec =
+      core::ExperimentRegistry::global().default_spec("susceptibility",
+                                                      setup_);
+  spec.seed_count = 2;
+  spec.cache_dir = dir_;
+  const core::ExperimentResult result =
+      core::ExperimentRegistry::global().run(spec, context);
+  const auto& report = result.as<core::SusceptibilityReport>();
 
   EXPECT_EQ(report.rows.size(), 2u * 3u * 3u * 2u);  // grid x 2 seeds
   EXPECT_EQ(report.groups.size(), 18u);
@@ -134,11 +137,14 @@ TEST_F(IntegrationFixture, MitigationReportCoversVariants) {
   // mitigation run stays consistent (11 variants would take minutes at
   // tiny scale; the zoo caches make the second run cheap).
   core::ModelZoo zoo(dir_);
-  core::MitigationOptions options;
-  options.seed_count = 1;
-  options.cache_dir = dir_;
-  const core::MitigationReport report =
-      core::run_mitigation(setup_, zoo, options);
+  core::RunContext context(zoo);
+  core::ExperimentSpec spec =
+      core::ExperimentRegistry::global().default_spec("mitigation", setup_);
+  spec.seed_count = 1;
+  spec.cache_dir = dir_;
+  const core::ExperimentResult result =
+      core::ExperimentRegistry::global().run(spec, context);
+  const auto& report = result.as<core::MitigationReport>();
   EXPECT_EQ(report.outcomes.size(), 11u);
   EXPECT_GT(report.original_baseline, 0.0);
   for (const auto& outcome : report.outcomes) {

@@ -431,6 +431,51 @@ TEST(Pipeline, ResumesFromPersistedStore) {
   (void)dropped;
 }
 
+TEST(Pipeline, PlanPassRecordsUncachedCellsAndEvaluatesNothing) {
+  TempDir dir("pipeline_plan");
+  const ExperimentSetup setup = tiny_setup();
+  ModelZoo zoo(dir.path());
+  const auto grid = small_grid();
+  const VariantSpec original = variant_by_name("Original");
+
+  // Cache the baseline and the first half of the grid.
+  PipelineOptions options;
+  options.cache_dir = dir.path();
+  const std::size_t half = grid.size() / 2;
+  const SweepResult warm = ScenarioPipeline(setup, zoo, options)
+                               .run(original, {grid.begin(),
+                                               grid.begin() + half});
+
+  std::vector<PendingSweep> plan;
+  PipelineOptions plan_options = options;
+  plan_options.plan = &plan;
+  const SweepResult planned =
+      ScenarioPipeline(setup, zoo, plan_options).run(original, grid);
+  EXPECT_EQ(planned.evaluated, 0u);
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].variant.name, "Original");
+  EXPECT_FALSE(plan[0].baseline);
+  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/" + plan[0].store_stem +
+                                      ".sweep.csv"));
+  ASSERT_EQ(plan[0].scenarios.size(), grid.size() - half);
+  for (std::size_t i = 0; i < plan[0].scenarios.size(); ++i) {
+    EXPECT_EQ(plan[0].scenarios[i].id(), grid[half + i].id());
+  }
+  // Cached rows carry their values; planned ones a 0.0 placeholder.
+  EXPECT_EQ(planned.baseline_accuracy, warm.baseline_accuracy);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(planned.rows[i].accuracy,
+              i < half ? warm.rows[i].accuracy : 0.0)
+        << grid[i].id();
+  }
+
+  // The plan pass stored nothing: a normal run evaluates exactly the
+  // planned cells.
+  const SweepResult full =
+      ScenarioPipeline(setup, zoo, options).run(original, grid);
+  EXPECT_EQ(full.evaluated, grid.size() - half);
+}
+
 TEST(Pipeline, DeduplicatesBaselineAndRepeatedScenarios) {
   TempDir dir("pipeline_dedup");
   const ExperimentSetup setup = tiny_setup();

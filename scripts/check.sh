@@ -10,30 +10,31 @@
 #    the five registered experiments, `run-all` must complete in one
 #    process (per-experiment timing on stdout), write every CSV + JSON
 #    document and the result stores, and resume instantly from cache.
-# 4. cross-check the legacy wrapper: `bench/fig7_susceptibility` must emit
-#    a CSV byte-identical to run-all's (fresh zoo, so the equality is
-#    computational, not cache reuse).
-# 5. distributed smoke: `run --workers 2` (clean, then with --chaos plug
+# 4. distributed smoke: `run --workers 2` (clean, then with --chaos plug
 #    pulls inside the workers) must emit bytes identical to a
 #    single-process run from a fresh zoo — the coordinator/worker/merge
 #    stack proves itself end to end on every CI run.
-# 6. telemetry smoke: the same 2-worker run armed with --trace/--metrics
+# 5. telemetry smoke: the same 2-worker run armed with --trace/--metrics
 #    must stay byte-identical, produce a parseable merged Chrome trace
 #    with coordinator + worker tracks, and a schema-valid metrics JSON;
 #    both land in the CI artifact bundle.
-# 7. serve smoke: `safelight list --json` schema check, then a daemon on
+# 6. serve smoke: `safelight list --json` schema check, then a daemon on
 #    an ephemeral port driven with curl — submit, NDJSON event stream,
 #    GET /result byte-identical to the run-all JSON document, 400 on an
-#    unknown spec field, cooperative DELETE, SIGTERM -> exit 130 — plus
-#    the bench_serve --smoke concurrent-client storm.
+#    unknown spec field, cooperative DELETE, SIGTERM -> exit 130.
+# 7. benchmark driver: `python3 perfbench/run.py --selftest` builds the
+#    driver BENCHMARK.json declares and runs every workload at tiny scale
+#    with its correctness gates (skipped without python3); then
+#    `bench/microbench` at a short minimum time (skipped without Google
+#    Benchmark).
 # Ends with a per-phase wall-time summary. CI uploads $SMOKE_DIR/out as
 # the experiment artifact bundle (see .github/workflows/ci.yml).
 #
 # SAFELIGHT_SANITIZE=ON builds with ASan+UBSan (=thread with TSan) and runs
-# the unit, integration, fault, dist and serve ctest shards only: the sweep-smoke shard and
-# the CLI/bench smokes re-cover the same code paths at ~10x sanitizer
-# cost, and the fault/dist harnesses' child processes inherit the
-# instrumentation.
+# the unit, integration, fault, dist and serve ctest shards only: the
+# sweep-smoke shard and the smokes re-cover the same code paths at ~10x
+# sanitizer cost, and the fault/dist harnesses' child processes inherit
+# the instrumentation.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -89,7 +90,7 @@ if [[ "$UNLABELLED" != "0" ]]; then
 fi
 
 if [[ "$SANITIZE" != "OFF" ]]; then
-  echo "== sanitize mode: skipping sweep-smoke shard and CLI/bench smokes =="
+  echo "== sanitize mode: skipping sweep-smoke shard and smokes =="
   echo "== all checks passed =="
   echo
   echo "== timing summary =="
@@ -144,17 +145,6 @@ SAFELIGHT_OUT="$SMOKE_DIR/out_cached" "$SAFELIGHT" run-all >"$SMOKE_DIR/run_all_
 echo "cached run-all re-run: $(( $(date +%s) - start ))s"
 cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
     "$SMOKE_DIR/out_cached/fig7_susceptibility.csv"
-phase_end
-
-phase_start "legacy wrapper byte-identity (fig7)"
-# The per-figure binary must produce the same bytes as `safelight run-all`
-# — from a fresh zoo, so the equality is computational, not cache reuse.
-FIG7="$(cd "$BUILD_DIR" && pwd)/bench/fig7_susceptibility"
-SAFELIGHT_ZOO="$SMOKE_DIR/zoo_wrapper" SAFELIGHT_OUT="$SMOKE_DIR/out_wrapper" \
-  "$FIG7" >"$SMOKE_DIR/fig7_wrapper.log"
-cmp "$SMOKE_DIR/out/fig7_susceptibility.csv" \
-    "$SMOKE_DIR/out_wrapper/fig7_susceptibility.csv"
-echo "wrapper CSV byte-identical to run-all"
 phase_end
 
 phase_start "distributed smoke (2 workers, clean + chaos)"
@@ -294,11 +284,6 @@ if command -v curl >/dev/null; then
 else
   echo "curl missing: serve HTTP smoke skipped"
 fi
-if command -v python3 >/dev/null; then
-  # The concurrent-client storm (8 mixed-experiment tenants) end to end.
-  scripts/bench_serve.sh --smoke "$BUILD_DIR"
-  test -s "$BUILD_DIR/bench_serve_smoke.json"
-fi
 phase_end
 
 # Preserve the artifact bundle for CI upload (the EXIT trap removes
@@ -315,24 +300,33 @@ if [[ -n "${SAFELIGHT_ARTIFACT_DIR:-}" ]]; then
   # in https://ui.perfetto.dev to inspect the CI run.
   cp "$SMOKE_DIR/trace.json" "$SMOKE_DIR/metrics.json" "$SAFELIGHT_ARTIFACT_DIR/"
   # Serving smoke evidence: daemon log (startup, drain), the NDJSON event
-  # stream, the byte-identity result document, and the client-storm report.
+  # stream and the byte-identity result document.
   mkdir -p "$SAFELIGHT_ARTIFACT_DIR/serve"
   cp "$SMOKE_DIR/serve.log" "$SMOKE_DIR/serve_events.ndjson" \
      "$SMOKE_DIR/serve_result.json" "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
-  cp "$BUILD_DIR/bench_serve_smoke.json" "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
-  cp BENCH_pr10.json "$SAFELIGHT_ARTIFACT_DIR/serve/" 2>/dev/null || true
 fi
 
-# Bench smoke: microbench (kernel + reference GEMM) and a timed sweep with
-# the prefix cache A/B, exercised end to end when the bench stack is built.
-if [[ -x "$BUILD_DIR/bench/microbench" ]] && command -v python3 >/dev/null; then
-  phase_start "bench report smoke"
-  unset SAFELIGHT_SCALE SAFELIGHT_SEEDS SAFELIGHT_ZOO SAFELIGHT_OUT
-  scripts/bench_report.sh --smoke "$BUILD_DIR"
-  test -s "$BUILD_DIR/bench_report_smoke.json"
+# The benchmark driver builds its own tree (.bench_build/perfbench) and
+# resolves its own knobs, so the smoke environment above must not leak in.
+unset SAFELIGHT_SCALE SAFELIGHT_SEEDS SAFELIGHT_ZOO SAFELIGHT_OUT
+if command -v python3 >/dev/null; then
+  phase_start "perfbench --selftest"
+  # Every workload path (sweep-1t/4t/4w, serve-mix) at tiny scale with its
+  # correctness gates, plus a corrupted pinned digest that must fail.
+  if command -v ccache >/dev/null; then
+    export CMAKE_CXX_COMPILER_LAUNCHER=ccache
+  fi
+  python3 perfbench/run.py --selftest
   phase_end
 else
-  echo "== bench report smoke skipped (microbench or python3 missing) =="
+  echo "== perfbench --selftest skipped (python3 missing) =="
+fi
+if [[ -x "$BUILD_DIR/bench/microbench" ]]; then
+  phase_start "microbench"
+  "$BUILD_DIR/bench/microbench" --benchmark_min_time=0.01
+  phase_end
+else
+  echo "== microbench skipped (Google Benchmark missing) =="
 fi
 
 echo "== all checks passed =="

@@ -1,9 +1,9 @@
 // Unified run-time configuration (the SAFELIGHT_* knobs).
 //
-// Every sweep entry point — the `safelight` CLI, the per-figure bench
-// binaries, the tests — resolves its knobs through this one module instead
-// of parsing environment variables ad hoc. The precedence rule, applied
-// uniformly to every knob, is:
+// Every sweep entry point — the `safelight` CLI, the bench binaries, the
+// tests — resolves its knobs through this one module instead of parsing
+// environment variables ad hoc. The precedence rule, applied uniformly to
+// every knob, is:
 //
 //     CLI flag  >  environment variable  >  built-in default
 //

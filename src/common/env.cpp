@@ -19,13 +19,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) {
   return static_cast<std::int64_t>(parsed);
 }
 
-Scale env_scale() {
-  const std::string raw = env_string("SAFELIGHT_SCALE", "default");
-  if (raw == "tiny") return Scale::kTiny;
-  if (raw == "full") return Scale::kFull;
-  return Scale::kDefault;
-}
-
 std::string to_string(Scale scale) {
   switch (scale) {
     case Scale::kTiny: return "tiny";

@@ -2,9 +2,8 @@
 //
 // These are the low-level readers only; knob *resolution* — the CLI flag >
 // env > default precedence rule shared by the `safelight` CLI, benches and
-// tests — lives in common/config.hpp. Prefer config::scale() over
-// env_scale(): the latter silently defaults on unknown values and is kept
-// for backward compatibility.
+// tests — lives in common/config.hpp, which resolves the scale knob through
+// config::scale() / config::parse_scale().
 #pragma once
 
 #include <cstdint>
@@ -22,9 +21,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 /// Experiment scale presets; see DESIGN.md. Controls dataset sizes, model
 /// widths and training epochs for the reproduction experiments.
 enum class Scale { kTiny, kDefault, kFull };
-
-/// Parses SAFELIGHT_SCALE ("tiny" | "default" | "full"); defaults to kDefault.
-Scale env_scale();
 
 /// Human-readable scale name.
 std::string to_string(Scale scale);

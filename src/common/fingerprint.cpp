@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/rng.hpp"
+
 namespace safelight {
 
 namespace {
@@ -41,6 +43,12 @@ std::string Fingerprint::hex16() const {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h_));
   return buf;
+}
+
+std::uint64_t probe_seed_of(const std::string& key) {
+  Fingerprint fp;
+  fp.mix_bytes(key.data(), key.size());
+  return splitmix64(fp.value());
 }
 
 }  // namespace safelight

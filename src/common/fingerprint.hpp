@@ -39,4 +39,9 @@ class Fingerprint {
   std::uint64_t h_ = 0xcbf29ce484222325ULL;
 };
 
+/// Detector probe seed of a sweep cell: FNV-1a over its full key, then
+/// splitmix64. Every run or check reads independent sensor noise, and a
+/// cached score is a pure function of the key.
+std::uint64_t probe_seed_of(const std::string& key);
+
 }  // namespace safelight

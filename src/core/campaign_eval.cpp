@@ -9,7 +9,6 @@
 
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
-#include "common/rng.hpp"
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
 #include "core/result_store.hpp"
@@ -24,15 +23,6 @@ struct PhaseTask {
   std::size_t campaign = 0;
   std::size_t phase = 0;
 };
-
-/// Probe seed of one (campaign, phase, check) cell, derived from its full
-/// key so every check reads independent sensor noise and a cached score is
-/// a pure function of the key.
-std::uint64_t probe_seed_of(const std::string& key) {
-  Fingerprint fp;
-  fp.mix_bytes(key.data(), key.size());
-  return splitmix64(fp.value());
-}
 
 /// Accuracy store key of a phase: composite-id based, so campaigns sharing
 /// a composite (a burst equal to a ramp's peak) share the cached entry.

@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
@@ -90,15 +89,6 @@ class DetectionEvaluator {
   defense::DetectorSuite suite_;
   const ExperimentSpec& experiment_;
 };
-
-/// Probe seed of a run, derived from its full id so every run — including
-/// same-placement scenarios at different intensities — reads independent
-/// sensor noise, and so a cached score is a pure function of the run id.
-std::uint64_t probe_seed_of(const std::string& run_id) {
-  Fingerprint fp;
-  fp.mix_bytes(run_id.data(), run_id.size());
-  return splitmix64(fp.value());
-}
 
 std::string score_key(const RunSpec& spec, const std::string& detector) {
   return spec.id + "/" + detector + "/score";

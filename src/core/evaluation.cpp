@@ -3,7 +3,6 @@
 #include <cstring>
 #include <filesystem>
 
-#include "common/env.hpp"
 #include "common/fingerprint.hpp"
 #include "common/metrics.hpp"
 #include "nn/serialize.hpp"
@@ -51,8 +50,7 @@ AttackEvaluator::AttackEvaluator(const ExperimentSetup& setup,
       mapping_(conditioned(executor_, model), setup.accelerator),
       clean_snapshot_(nn::snapshot_state(model)),
       eval_data_(make_test_data(setup).take(setup.eval_count)),
-      corruption_(std::move(corruption)),
-      prefix_cache_enabled_(env_int("SAFELIGHT_PREFIX_CACHE", 1) != 0) {
+      corruption_(std::move(corruption)) {
   std::string cache_path;
   if (!cache_dir.empty()) {
     std::filesystem::create_directories(cache_dir);

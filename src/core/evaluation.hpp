@@ -20,8 +20,7 @@
 // to a full forward, and free of the conv-stack cost for FC-only attacks.
 // Caching is disabled while a *mutating* read-out hook is installed (the
 // hook corrupts even clean-prefix layers); observing hooks (defense range
-// monitors) keep it active. It can be turned off globally with
-// SAFELIGHT_PREFIX_CACHE=0 (the A/B switch scripts/bench_report.sh uses).
+// monitors) keep it active.
 #pragma once
 
 #include <map>
@@ -86,8 +85,8 @@ class AttackEvaluator {
   /// Leaves the model in its clean conditioned state.
   void restore_clean();
 
-  /// Enables/disables prefix-activation caching for this evaluator
-  /// (overrides the SAFELIGHT_PREFIX_CACHE default; tests A/B both paths).
+  /// Enables/disables prefix-activation caching for this evaluator (on by
+  /// default; tests A/B both paths).
   void set_prefix_cache(bool enabled) { prefix_cache_enabled_ = enabled; }
   bool prefix_cache_enabled() const { return prefix_cache_enabled_; }
 

@@ -83,15 +83,14 @@ SweepResult ScenarioPipeline::run(
   auto model = zoo_.get_or_train(setup_, variant, options_.verbose);
   const std::string checksum = weights_checksum(*model);
 
-  std::string base, csv_path, jsonl_path;
+  std::string base, csv_path;
   if (!options_.cache_dir.empty()) {
     std::filesystem::create_directories(options_.cache_dir);
     base = sweep_store_stem(options_.cache_dir, setup_, variant.name, checksum,
                             options_.corruption);
     csv_path = base + ".sweep.csv";
-    if (options_.stream_jsonl) jsonl_path = base + ".sweep.jsonl";
   }
-  ResultStore store(csv_path, jsonl_path);
+  ResultStore store(csv_path);
 
   SweepResult result;
   result.variant = variant.name;

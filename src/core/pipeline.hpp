@@ -56,9 +56,6 @@ struct PipelineOptions {
   /// Directory for ResultStore files; empty disables persistence (results
   /// are still deduplicated in memory within one sweep).
   std::string cache_dir;
-  /// Also stream each new result as a JSON object to a .jsonl file next to
-  /// the CSV store (ignored when cache_dir is empty).
-  bool stream_jsonl = false;
   /// Upper bound on worker threads; 0 uses safelight::worker_count()
   /// (SAFELIGHT_THREADS). 1 forces the serial reference path.
   std::size_t max_workers = 0;
@@ -114,11 +111,11 @@ std::string scenario_store_key(const attack::AttackScenario& scenario,
 /// Store key of the clean (unattacked) baseline evaluation.
 std::string baseline_store_key(std::size_t eval_count);
 
-/// Path (without extension) of the ResultStore files a pipeline sweep of
-/// `variant` uses under `cache_dir`: the CSV store is `<stem>.sweep.csv`,
-/// the optional mirror `<stem>.sweep.jsonl`. `weights_checksum` is the
-/// trained variant's checksum — part of the name so retrained weights never
-/// read stale entries; `corruption` likewise fingerprints ablated physics.
+/// Path (without extension) of the ResultStore file a pipeline sweep of
+/// `variant` uses under `cache_dir`: the CSV store is `<stem>.sweep.csv`.
+/// `weights_checksum` is the trained variant's checksum — part of the name
+/// so retrained weights never read stale entries; `corruption` likewise
+/// fingerprints ablated physics.
 std::string sweep_store_stem(const std::string& cache_dir,
                              const ExperimentSetup& setup,
                              const std::string& variant_name,

@@ -45,6 +45,10 @@ namespace {
 // silence/backoff/deadline arithmetic below goes through this one name.
 using Clock = CoordinatorClock;
 
+/// Requeue backoff: min(kRetryCapS, kRetryBaseS * 2^(failures-1)).
+constexpr double kRetryBaseS = 0.2;
+constexpr double kRetryCapS = 5.0;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -436,10 +440,9 @@ class Coordinator {
                                   static_cast<double>(state.failures));
       trace::record(std::move(event));
     }
-    const double delay =
-        std::min(options_.retry_cap_s,
-                 options_.retry_base_s *
-                     std::ldexp(1.0, static_cast<int>(state.failures) - 1));
+    const double delay = std::min(
+        kRetryCapS,
+        kRetryBaseS * std::ldexp(1.0, static_cast<int>(state.failures) - 1));
     state.eligible_at =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(delay));

@@ -59,9 +59,6 @@ struct DistOptions {
   /// Re-dispatches of one task before it is quarantined (i.e. a task is
   /// given up after max_task_retries + 1 failures).
   std::size_t max_task_retries = 3;
-  /// Requeue backoff: min(retry_cap_s, retry_base_s * 2^(failures-1)).
-  double retry_base_s = 0.2;
-  double retry_cap_s = 5.0;
   /// > 0 arms PR 6 fault injection *inside the workers only* (independent
   /// mode, every fault point, per-slot/generation seeds derived from
   /// chaos_seed) — the chaos harness that proves crash recovery end to end.

@@ -332,17 +332,6 @@ TEST(Env, IntParsingAndFallback) {
   unsetenv("SAFELIGHT_TEST_INT");
 }
 
-TEST(Env, ScaleParsing) {
-  setenv("SAFELIGHT_SCALE", "tiny", 1);
-  EXPECT_EQ(env_scale(), Scale::kTiny);
-  setenv("SAFELIGHT_SCALE", "full", 1);
-  EXPECT_EQ(env_scale(), Scale::kFull);
-  setenv("SAFELIGHT_SCALE", "bogus", 1);
-  EXPECT_EQ(env_scale(), Scale::kDefault);
-  unsetenv("SAFELIGHT_SCALE");
-  EXPECT_EQ(env_scale(), Scale::kDefault);
-}
-
 TEST(Env, ScaleNames) {
   EXPECT_EQ(to_string(Scale::kTiny), "tiny");
   EXPECT_EQ(to_string(Scale::kDefault), "default");

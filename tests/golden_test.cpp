@@ -8,8 +8,8 @@
 //
 // Since the unified experiment API (core/experiment.hpp), all documents are
 // produced through ExperimentResult::to_csv()/to_json() — the exact code
-// path of the `safelight` CLI and the per-figure bench wrappers — so these
-// goldens also pin "CLI output == legacy bench output".
+// path of the `safelight` CLI — so these goldens pin the CLI's output byte
+// for byte.
 //
 // To regenerate after an *intentional* numbers change:
 //   SAFELIGHT_UPDATE_GOLDEN=1 ctest -R Golden

@@ -267,29 +267,6 @@ TEST(ResultStore, PropertyResumesFromEveryTruncationOffset) {
   }
 }
 
-TEST(ResultStore, TruncatedJsonlMirrorNeverAffectsResume) {
-  // The JSONL mirror is write-only telemetry: a record torn by a mid-write
-  // kill must neither break CSV resume nor stop the mirror from appending.
-  TempDir dir("result_store_jsonl_torn");
-  const std::string csv = dir.path() + "/store.csv";
-  const std::string jsonl = dir.path() + "/store.jsonl";
-  {
-    ResultStore store(csv, jsonl);
-    store.put("k/1", 0.5);
-    store.put("k/2", 0.25);
-  }
-  // Tear the mirror mid-record.
-  std::filesystem::resize_file(jsonl, std::filesystem::file_size(jsonl) / 2);
-
-  ResultStore resumed(csv, jsonl);
-  EXPECT_EQ(resumed.size(), 2u);  // resume reads the CSV, not the mirror
-  resumed.put("k/3", 0.125);
-  std::ifstream in(jsonl);
-  std::string line, last;
-  while (std::getline(in, line)) last = line;
-  EXPECT_NE(last.find("\"key\":\"k/3\""), std::string::npos);
-}
-
 TEST(ResultStore, OpenSweepsOrphanedTempFilesWithAWarning) {
   // A crash between nn::save_model's tmp write and its atomic rename
   // leaves `<target>.tmp` behind; nothing else ever reclaims it. Opening a
@@ -317,19 +294,6 @@ TEST(ResultStore, OpenSweepsOrphanedTempFilesWithAWarning) {
   testing::internal::CaptureStderr();
   ResultStore reopened(dir.path() + "/store.csv");
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
-TEST(ResultStore, StreamsJsonlMirror) {
-  TempDir dir("result_store_jsonl");
-  const std::string csv = dir.path() + "/store.csv";
-  const std::string jsonl = dir.path() + "/store.jsonl";
-  ResultStore store(csv, jsonl);
-  store.put("k", 0.125);
-  std::ifstream in(jsonl);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"key\":\"k\""), std::string::npos);
-  EXPECT_NE(line.find("0.125"), std::string::npos);
 }
 
 // ---------------------------------------------------------------- pipeline

@@ -101,6 +101,22 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(32);
 
+// ResNet18 stage-4 shape at default scale: a 4x4 map has only 16 output
+// pixels per image, so the batch (64) is what fills the GEMM's columns.
+void BM_Conv2dForwardDeep(benchmark::State& state) {
+  sl::Rng rng(3);
+  sl::nn::Conv2d conv(64, 64, 3, 1, 1, rng);
+  sl::nn::Tensor x({64, 64, 4, 4});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  for (auto _ : state) {
+    auto out = conv.forward(x, false);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_Conv2dForwardDeep);
+
 void BM_MrBankEffectiveWeights(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   sl::phot::MrGeometry geometry;

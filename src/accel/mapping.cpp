@@ -63,8 +63,9 @@ SlotAddress WeightStationaryMapping::slot_of_weight(
 
 WeightRef WeightStationaryMapping::weight(BlockKind block,
                                           std::size_t weight_index) const {
-  require(weight_index < weight_count(block),
-          "weight: index out of range for block " + to_string(block));
+  if (!(weight_index < weight_count(block))) {
+    fail_argument("weight: index out of range for block " + to_string(block));
+  }
   const auto& rs = ranges(block);
   // Ranges are sorted by construction; binary search the containing tensor.
   auto it = std::upper_bound(

@@ -15,9 +15,11 @@ std::string BankAddress::to_string() const {
 }
 
 std::size_t slot_flat_index(const BlockDims& dims, const SlotAddress& addr) {
-  require(addr.unit < dims.units && addr.bank < dims.banks_per_unit &&
-              addr.mr < dims.mrs_per_bank,
-          "slot_flat_index: address out of range: " + addr.to_string());
+  if (!(addr.unit < dims.units && addr.bank < dims.banks_per_unit &&
+        addr.mr < dims.mrs_per_bank)) {
+    fail_argument("slot_flat_index: address out of range: " +
+                  addr.to_string());
+  }
   return (addr.unit * dims.banks_per_unit + addr.bank) * dims.mrs_per_bank +
          addr.mr;
 }
@@ -35,8 +37,10 @@ SlotAddress slot_from_flat(const BlockDims& dims, BlockKind block,
 }
 
 std::size_t bank_flat_index(const BlockDims& dims, const BankAddress& addr) {
-  require(addr.unit < dims.units && addr.bank < dims.banks_per_unit,
-          "bank_flat_index: address out of range: " + addr.to_string());
+  if (!(addr.unit < dims.units && addr.bank < dims.banks_per_unit)) {
+    fail_argument("bank_flat_index: address out of range: " +
+                  addr.to_string());
+  }
   return addr.unit * dims.banks_per_unit + addr.bank;
 }
 

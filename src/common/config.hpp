@@ -187,8 +187,7 @@ std::size_t serve_queue_depth();
 /// CLI's worker path): unset/empty -> nullopt; a value that is not
 /// entirely a number throws std::invalid_argument naming the variable —
 /// the actionable exit-2 path, never an uncaught parse error or a silent
-/// fallback (env_int's lenient behavior is exactly the silent-clamp class
-/// this module closes).
+/// fallback to the default (the silent-clamp class this module closes).
 std::optional<std::int64_t> strict_env_int(const char* name);
 std::optional<double> strict_env_double(const char* name);
 

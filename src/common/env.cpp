@@ -10,15 +10,6 @@ std::string env_string(const std::string& name, const std::string& fallback) {
   return value;
 }
 
-std::int64_t env_int(const std::string& name, std::int64_t fallback) {
-  const char* value = std::getenv(name.c_str());
-  if (value == nullptr || value[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value) return fallback;
-  return static_cast<std::int64_t>(parsed);
-}
-
 std::string to_string(Scale scale) {
   switch (scale) {
     case Scale::kTiny: return "tiny";

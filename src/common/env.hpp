@@ -6,7 +6,6 @@
 // config::scale() / config::parse_scale().
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace safelight {
@@ -14,12 +13,9 @@ namespace safelight {
 /// Reads an environment variable; returns fallback when unset/empty.
 std::string env_string(const std::string& name, const std::string& fallback);
 
-/// Reads an integer environment variable; returns fallback when unset or
-/// unparsable.
-std::int64_t env_int(const std::string& name, std::int64_t fallback);
-
-/// Experiment scale presets; see DESIGN.md. Controls dataset sizes, model
-/// widths and training epochs for the reproduction experiments.
+/// Experiment scale presets; see docs/architecture.md, "ExperimentScale".
+/// Controls dataset sizes, model widths and training epochs for the
+/// reproduction experiments.
 enum class Scale { kTiny, kDefault, kFull };
 
 /// Human-readable scale name.

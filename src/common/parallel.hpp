@@ -1,6 +1,6 @@
 // Minimal data-parallel loop helpers.
 //
-// The training and evaluation hot loops (GEMM tiles, per-image inference)
+// The training and evaluation hot loops (GEMM row tiles, conv column blocks)
 // are embarrassingly parallel; parallel_for splits an index range across the
 // persistent worker pool (common/thread_pool.hpp). Submitting a job to the
 // parked pool costs one lock + notify, so even the thousands of small GEMMs

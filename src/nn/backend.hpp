@@ -25,9 +25,10 @@
 // whose probe-GEMM fingerprint differs from the coordinator's is running
 // genuinely different numerics and is rejected (dist/coordinator.cpp).
 //
-// ComputeBackend is the seam ROADMAP item 3 widens: today it owns the GEMM
-// kernel table; conv/quantize variants (and remote/GPU backends) slot in
-// beside it without touching call sites.
+// ComputeBackend owns only the GEMM kernel table. Convolution reaches it
+// through gemm_packed over panels im2col_pack builds from the NCHW input,
+// so conv needs no per-variant code; other kernels (quantize, remote/GPU
+// backends) would slot in beside the table without touching call sites.
 #pragma once
 
 #include <cstddef>

@@ -1,13 +1,25 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/scratch.hpp"
+#include "nn/backend.hpp"
 #include "nn/gemm.hpp"
 
 namespace safelight::nn {
+
+namespace {
+
+// Packed floats per column block of the forward GEMM (128 KB): one block's
+// panels stay cache-resident while the micro-kernel streams them once per
+// block of output channels. Layers whose patch exceeds kBlockFloats / kNr
+// get one-panel blocks.
+constexpr std::size_t kBlockFloats = 32 * 1024;
+
+}  // namespace
 
 Conv2d::Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
                std::size_t stride, std::size_t pad, Rng& rng, bool bias)
@@ -52,26 +64,40 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const std::size_t patch = g.patch_len();
   Tensor out({batch, out_c_, g.out_h(), g.out_w()});
 
+  // One GEMM W[out_c x patch] * X[patch x batch*hw] over the whole batch,
+  // walked in column blocks of whole panels; a block may straddle images.
+  const std::size_t columns = batch * hw;
+  const std::size_t block_cols =
+      std::max<std::size_t>(1, kBlockFloats / (patch * backend::kNr)) *
+      backend::kNr;
+  const std::size_t blocks = (columns + block_cols - 1) / block_cols;
   const float* w = weight_.value.data();
   const float* b = has_bias_ ? bias_.value.data() : nullptr;
-  parallel_for_chunks(
-      0, batch,
-      [&](std::size_t lo, std::size_t hi) {
-        // Per-worker scratch: the im2col buffer lives in the thread-local
-        // arena and is reused across every batch item of the chunk.
-        ScratchArena& arena = ScratchArena::local();
-        const ScratchArena::Frame frame(arena);
-        float* cols = arena.alloc(patch * hw);
-        for (std::size_t n = lo; n < hi; ++n) {
-          im2col(x.data() + n * in_c_ * g.in_h * g.in_w, g, cols);
-          float* out_n = out.data() + n * out_c_ * hw;
-          // Bias (one per output channel = per GEMM row) fuses into the
-          // kernel epilogue instead of a second pass over the output.
-          gemm(w, cols, out_n, out_c_, patch, hw, /*accumulate=*/false,
-               /*row_bias=*/b);
-        }
-      },
-      1);
+  parallel_for(0, blocks, [&](std::size_t block) {
+    const std::size_t col0 = block * block_cols;
+    const std::size_t cols = std::min(block_cols, columns - col0);
+    ScratchArena& arena = ScratchArena::local();
+    const ScratchArena::Frame frame(arena);
+    const std::size_t panels = (cols + backend::kNr - 1) / backend::kNr;
+    float* packed = arena.alloc(panels * backend::kNr * patch);
+    float* c = arena.alloc(out_c_ * cols);
+    im2col_pack(x.data(), g, col0, cols, packed);
+    // Bias (one per output channel = per GEMM row) fuses into the kernel
+    // epilogue instead of a second pass over the output.
+    gemm_packed(w, packed, c, out_c_, patch, cols, /*accumulate=*/false, b);
+    // Scatter C [out_c x cols] into [batch, out_c, hw], one run of a single
+    // image's pixels at a time.
+    for (std::size_t q = col0; q < col0 + cols;) {
+      const std::size_t n = q / hw;
+      const std::size_t pix = q % hw;
+      const std::size_t run = std::min(hw - pix, col0 + cols - q);
+      for (std::size_t o = 0; o < out_c_; ++o) {
+        std::copy_n(c + o * cols + (q - col0), run,
+                    out.data() + (n * out_c_ + o) * hw + pix);
+      }
+      q += run;
+    }
+  });
 
   if (train) {
     cached_input_ = x;

@@ -1,4 +1,13 @@
-// 2-D convolution layer (im2col + GEMM lowering).
+// 2-D convolution layer.
+//
+// Forward lowers the whole batch to one GEMM, W[out_c x patch] times the
+// patch matrix [patch x N*out_hw], walked in column blocks: each block's
+// panels are packed straight from the NCHW input (im2col_pack), multiplied
+// by gemm_packed into a block-local C and scattered into [N, out_c, h, w].
+// The blocks run in parallel. Every output element is still one
+// ascending-k reduction plus bias, so results match a per-image
+// im2col + gemm_ref bit for bit. Backward (training) keeps the per-image
+// im2col/col2im lowering.
 #pragma once
 
 #include "nn/im2col.hpp"

@@ -112,17 +112,12 @@ void run_parallel(const backend::GemmKernels& kernels,
 
 }  // namespace
 
-void gemm(const float* a, const float* b, float* c, std::size_t m,
-          std::size_t k, std::size_t n, bool accumulate,
-          const float* row_bias) {
+void gemm_packed(const float* a, const float* packed, float* c, std::size_t m,
+                 std::size_t k, std::size_t n, bool accumulate,
+                 const float* row_bias) {
   if (m == 0 || n == 0) return;
   const backend::ComputeBackend& active = backend::active();
-  const backend::GemmKernels& kernels = active.gemm_kernels();
   const GemmScope scope("gemm", active.name(), m, k, n);
-  ScratchArena& arena = ScratchArena::local();
-  const ScratchArena::Frame frame(arena);
-  float* packed = alloc_packed(arena, k, n);
-  kernels.pack_b(b, k, n, packed);
   backend::GemmArgs args;
   args.a = a;
   args.packed = packed;
@@ -132,7 +127,18 @@ void gemm(const float* a, const float* b, float* c, std::size_t m,
   args.n = n;
   args.accumulate = accumulate;
   args.row_bias = row_bias;
-  run_parallel(kernels, args, /*transposed_a=*/false);
+  run_parallel(active.gemm_kernels(), args, /*transposed_a=*/false);
+}
+
+void gemm(const float* a, const float* b, float* c, std::size_t m,
+          std::size_t k, std::size_t n, bool accumulate,
+          const float* row_bias) {
+  if (m == 0 || n == 0) return;
+  ScratchArena& arena = ScratchArena::local();
+  const ScratchArena::Frame frame(arena);
+  float* packed = alloc_packed(arena, k, n);
+  backend::active().gemm_kernels().pack_b(b, k, n, packed);
+  gemm_packed(a, packed, c, m, k, n, accumulate, row_bias);
 }
 
 void gemm_bt(const float* a, const float* b, float* c, std::size_t m,

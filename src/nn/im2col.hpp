@@ -1,7 +1,11 @@
-// im2col / col2im lowering for 2-D convolution.
+// Convolution lowering: the patch matrix of a 2-D convolution.
 //
-// Convolution forward becomes one GEMM per batch over the unrolled patch
-// matrix; backward-to-input uses col2im to scatter patch gradients back.
+// Conv2d::forward is one GEMM W[out_c x patch_len] * X[patch_len x N*out_hw]
+// over the whole batch, where X holds each image's im2col columns side by
+// side. im2col_pack builds kNr-wide GEMM panels of X straight from the NCHW
+// input, one column block at a time, so X itself is never materialized.
+// im2col/col2im unroll and scatter one image; backward-to-input uses col2im
+// to scatter patch gradients back.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +35,14 @@ struct ConvGeom {
 /// Unrolls a single image [C,H,W] into columns [patch_len x out_hw].
 /// Out-of-bounds (padding) taps contribute zeros.
 void im2col(const float* image, const ConvGeom& g, float* columns);
+
+/// Packs columns [col0, col0 + cols) of the batch's patch matrix — image
+/// n's out_hw columns start at n * out_hw — into ceil(cols / kNr) kNr-wide
+/// zero-padded panels (backend::kNr), read straight from `input`, an NCHW
+/// batch. Writes exactly the bytes GemmKernels::pack_b writes for the same
+/// columns of im2col's output; a block may start and end mid-image.
+void im2col_pack(const float* input, const ConvGeom& g, std::size_t col0,
+                 std::size_t cols, float* packed);
 
 /// Scatters columns [patch_len x out_hw] back into an image [C,H,W],
 /// accumulating overlapping contributions. `image` must be zeroed by the

@@ -1,9 +1,9 @@
 // Procedural synthetic datasets.
 //
-// The paper trains on MNIST, CIFAR10 and Imagenette. Those corpora are not
-// available in this offline environment, so SafeLight ships procedural
-// stand-ins with the same tensor shapes and class counts (substitution
-// documented in DESIGN.md §4):
+// The paper trains on MNIST, CIFAR10 and Imagenette. SafeLight does not
+// download datasets, so it ships procedural stand-ins with the same tensor
+// shapes and class counts, and every accuracy it reports is measured on
+// them rather than on the paper's corpora:
 //   * synth_digits   — MNIST-like:   1x28x28 grayscale rendered digit glyphs
 //   * synth_shapes   — CIFAR10-like: 3x32x32 colored geometric scenes
 //   * synth_textures — Imagenette-like: 3xSxS textured scenes

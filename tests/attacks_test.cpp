@@ -449,7 +449,7 @@ TEST(Corruption, HotspotDeterministicPerSeed) {
 TEST(Corruption, StuckAtZeroAblationViaParkFraction) {
   // Parking exactly on resonance (park fraction 0) floors the transmission:
   // the stuck weight collapses toward zero instead of max — the ablation
-  // payload discussed in DESIGN.md.
+  // payload of the stuck-at-zero ablation.
   const accel::AcceleratorConfig config = accel::AcceleratorConfig::crosslight();
   const double stuck_on_resonance =
       config.encoding.to_magnitude(parked_transmission(

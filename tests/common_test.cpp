@@ -324,14 +324,6 @@ TEST(Env, StringFallback) {
   unsetenv("SAFELIGHT_TEST_VAR");
 }
 
-TEST(Env, IntParsingAndFallback) {
-  setenv("SAFELIGHT_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int("SAFELIGHT_TEST_INT", 7), 42);
-  setenv("SAFELIGHT_TEST_INT", "not_a_number", 1);
-  EXPECT_EQ(env_int("SAFELIGHT_TEST_INT", 7), 7);
-  unsetenv("SAFELIGHT_TEST_INT");
-}
-
 TEST(Env, ScaleNames) {
   EXPECT_EQ(to_string(Scale::kTiny), "tiny");
   EXPECT_EQ(to_string(Scale::kDefault), "default");
@@ -423,8 +415,8 @@ TEST(Config, SeedCountPrecedenceAndValidation) {
     ScopedEnv zero("SAFELIGHT_SEEDS", "0");
     EXPECT_THROW(config::seed_count(3), std::invalid_argument);  // no clamp
   }
-  // Non-numeric values fail loudly too, instead of env_int's silent
-  // fall-back to the default.
+  // Non-numeric values fail loudly too, instead of silently falling back
+  // to the default.
   ScopedEnv junk("SAFELIGHT_SEEDS", "ten");
   EXPECT_THROW(config::seed_count(3), std::invalid_argument);
   ScopedEnv partial("SAFELIGHT_SEEDS", "3x10");

@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/config.hpp"
 #include "common/env.hpp"
 #include "common/fault.hpp"
 #include "core/experiment.hpp"
@@ -43,7 +44,7 @@ std::string golden_path(const std::string& name) {
 void expect_matches_golden(const std::string& content,
                            const std::string& name) {
   const std::string path = golden_path(name);
-  if (env_int("SAFELIGHT_UPDATE_GOLDEN", 0) != 0) {
+  if (config::strict_env_int("SAFELIGHT_UPDATE_GOLDEN").value_or(0) != 0) {
     std::filesystem::create_directories(SAFELIGHT_GOLDEN_DIR);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     fault::ptp("golden.update.write");  // crash: truncated golden file

@@ -1,6 +1,7 @@
 #include "accel/executor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -64,44 +65,40 @@ void quantize_activations(nn::Tensor& t, const phot::Adc& adc) {
 
 }  // namespace
 
-nn::Tensor OnnExecutor::walk(nn::Sequential& model, const nn::Tensor& h,
+nn::Tensor OnnExecutor::walk(nn::Sequential& model, nn::Tensor h,
                              std::size_t begin_layer,
                              std::size_t end_layer) const {
   require(begin_layer <= end_layer && end_layer <= model.size(),
           "OnnExecutor::walk: layer window out of range");
   if (!options_.quantize_activations && readout_hooks_.empty()) {
     if (end_layer == model.size()) {
-      return model.forward_from(begin_layer, h, /*train=*/false);
+      return model.forward_from(begin_layer, std::move(h), /*train=*/false);
     }
-    nn::Tensor cur = h;
     for (std::size_t i = begin_layer; i < end_layer; ++i) {
-      cur = model.layer(i).forward(cur, /*train=*/false);
+      h = model.layer(i).forward(std::move(h), /*train=*/false);
     }
-    return cur;
+    return h;
   }
   const phot::Adc adc(phot::QuantizerConfig{config_.adc_bits, -1.0, 1.0});
-  nn::Tensor cur = h;
   for (std::size_t i = begin_layer; i < end_layer; ++i) {
     nn::Layer& layer = model.layer(i);
-    cur = layer.forward(cur, /*train=*/false);
+    h = layer.forward(std::move(h), /*train=*/false);
     if (!layer_is_mapped(layer)) continue;
-    if (options_.quantize_activations) quantize_activations(cur, adc);
+    if (options_.quantize_activations) quantize_activations(h, adc);
     for (const HookEntry& entry : readout_hooks_) {
-      entry.hook(cur, layer_block(layer), cur.abs_max());
+      entry.hook(h, layer_block(layer), h.abs_max());
     }
   }
-  return cur;
+  return h;
 }
 
-nn::Tensor OnnExecutor::forward(nn::Sequential& model,
-                                const nn::Tensor& x) const {
-  return walk(model, x, 0, model.size());
+nn::Tensor OnnExecutor::forward(nn::Sequential& model, nn::Tensor x) const {
+  return walk(model, std::move(x), 0, model.size());
 }
 
-nn::Tensor OnnExecutor::forward_prefix(nn::Sequential& model,
-                                       const nn::Tensor& x,
+nn::Tensor OnnExecutor::forward_prefix(nn::Sequential& model, nn::Tensor x,
                                        std::size_t end_layer) const {
-  return walk(model, x, 0, end_layer);
+  return walk(model, std::move(x), 0, end_layer);
 }
 
 nn::Tensor OnnExecutor::forward_from(nn::Sequential& model,
@@ -131,7 +128,7 @@ double OnnExecutor::evaluate(nn::Sequential& model, const nn::Dataset& data,
   for (std::size_t begin = 0; begin < data.size(); begin += batch_size) {
     const std::size_t end = std::min(data.size(), begin + batch_size);
     auto [images, labels] = data.batch(begin, end);
-    const nn::Tensor logits = forward(model, images);
+    const nn::Tensor logits = forward(model, std::move(images));
     correct += count_correct(logits, labels);
   }
   return static_cast<double>(correct) / static_cast<double>(data.size());
@@ -147,7 +144,7 @@ std::vector<nn::Tensor> OnnExecutor::prefix_activations(
     const std::size_t end = std::min(data.size(), begin + batch_size);
     auto [images, labels] = data.batch(begin, end);
     (void)labels;
-    prefix.push_back(forward_prefix(model, images, end_layer));
+    prefix.push_back(forward_prefix(model, std::move(images), end_layer));
   }
   return prefix;
 }

@@ -61,12 +61,13 @@ class OnnExecutor {
   /// (in place). Electronic parameters are untouched.
   void condition_weights(nn::Sequential& model) const;
 
-  /// Forward pass through the accelerator.
-  nn::Tensor forward(nn::Sequential& model, const nn::Tensor& x) const;
+  /// Forward pass through the accelerator. `x` is a sink (see
+  /// nn::Layer::forward): move it in when it is not needed afterwards.
+  nn::Tensor forward(nn::Sequential& model, nn::Tensor x) const;
 
   /// Forward through layers [0, end_layer) only; returns the boundary
   /// activation that forward_from resumes bitwise-identically from.
-  nn::Tensor forward_prefix(nn::Sequential& model, const nn::Tensor& x,
+  nn::Tensor forward_prefix(nn::Sequential& model, nn::Tensor x,
                             std::size_t end_layer) const;
 
   /// Resumes a forward pass at begin_layer from a boundary activation.
@@ -135,7 +136,7 @@ class OnnExecutor {
  private:
   /// Shared layer walk over [begin_layer, end_layer): plain forwards plus,
   /// per mapped layer, ADC quantization and the read-out hook when enabled.
-  nn::Tensor walk(nn::Sequential& model, const nn::Tensor& h,
+  nn::Tensor walk(nn::Sequential& model, nn::Tensor h,
                   std::size_t begin_layer, std::size_t end_layer) const;
 
   /// Argmax-accuracy of `logits` rows against `labels`.

@@ -76,6 +76,10 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
     const accel::BlockDims& dims = accel_config.block(kind);
     const phot::MrGeometry& geometry = accel_config.geometry(kind);
     const phot::WdmGrid grid = accel_config.bank_grid(kind);
+    // One bank serves every hit bank of this block: set_weights re-imprints
+    // each ring and clears its detuning and temperature delta.
+    phot::MrBank bank(geometry, grid, accel_config.encoding);
+    std::vector<double> normalized(dims.mrs_per_bank);
 
     // Minimum delta-T that produces a significant resonance shift.
     const phot::Microring reference(geometry, accel_config.center_wavelength_nm);
@@ -125,10 +129,9 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
       ++stats.thermally_hit_banks;
       stats.attacked_mrs += dims.mrs_per_bank;
 
-      phot::MrBank bank(geometry, grid, accel_config.encoding);
       for (const auto& group : pass_groups) {
         // Normalized signed weights for this pass (missing slots -> 0).
-        std::vector<double> normalized(dims.mrs_per_bank, 0.0);
+        std::fill(normalized.begin(), normalized.end(), 0.0);
         for (std::size_t mr = 0; mr < group.size(); ++mr) {
           if (group[mr].param == nullptr) continue;
           const float scale = mapping.scale_of(group[mr].param);

@@ -20,7 +20,14 @@ namespace safelight {
   throw std::logic_error("safelight internal error: " + what);
 }
 
-/// Validates a user-supplied precondition.
+/// Validates a user-supplied precondition. A literal message binds to the
+/// `const char*` overload, so a passing check builds no std::string; hot
+/// paths whose message is concatenated test first and only then build it:
+/// `if (!cond) fail_argument("..." + detail);`.
+inline void require(bool cond, const char* what) {
+  if (!cond) fail_argument(what);
+}
+
 inline void require(bool cond, const std::string& what) {
   if (!cond) fail_argument(what);
 }

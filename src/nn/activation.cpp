@@ -7,20 +7,27 @@
 
 namespace safelight::nn {
 
-Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor out = x;
-  if (train) {
-    mask_.assign(x.numel(), false);
-    cached_shape_ = x.shape();
+void relu_inplace(Tensor& x, std::vector<bool>* mask) {
+  float* v = x.data();
+  const std::size_t n = x.numel();
+  if (mask == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) v[i] = v[i] > 0.0f ? v[i] : 0.0f;
+    return;
   }
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0f) {
-      if (train) mask_[i] = true;
+  mask->assign(n, false);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (v[i] > 0.0f) {
+      (*mask)[i] = true;
     } else {
-      out[i] = 0.0f;
+      v[i] = 0.0f;
     }
   }
-  return out;
+}
+
+Tensor ReLU::forward(Tensor x, bool train) {
+  if (train) cached_shape_ = x.shape();
+  relu_inplace(x, train ? &mask_ : nullptr);
+  return x;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {

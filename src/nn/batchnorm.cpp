@@ -1,6 +1,7 @@
 #include "nn/batchnorm.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -19,68 +20,71 @@ BatchNorm2d::BatchNorm2d(std::size_t channels, float momentum, float eps)
 }
 
 Shape BatchNorm2d::output_shape(const Shape& in) const {
-  require(in.size() == 4 && in[1] == channels_,
-          "BatchNorm2d: expected [N," + std::to_string(channels_) + ",H,W]");
+  if (in.size() != 4 || in[1] != channels_) {
+    fail_argument("BatchNorm2d: expected [N," + std::to_string(channels_) +
+                  ",H,W]");
+  }
   return in;
 }
 
-Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
+Tensor BatchNorm2d::forward(Tensor x, bool train) {
   (void)output_shape(x.shape());
   const std::size_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
   const std::size_t per_channel = batch * hw;
-  Tensor out(x.shape());
 
-  if (train) {
-    cached_input_ = x;
-    batch_mean_.assign(channels_, 0.0);
-    batch_var_.assign(channels_, 0.0);
-    for (std::size_t c = 0; c < channels_; ++c) {
-      double sum = 0.0, sq = 0.0;
-      for (std::size_t n = 0; n < batch; ++n) {
-        const float* plane = x.data() + (n * channels_ + c) * hw;
-        for (std::size_t i = 0; i < hw; ++i) {
-          sum += plane[i];
-          sq += static_cast<double>(plane[i]) * plane[i];
-        }
-      }
-      const double mean = sum / static_cast<double>(per_channel);
-      // Biased variance, matching the normalization used in backward.
-      const double var = sq / static_cast<double>(per_channel) - mean * mean;
-      batch_mean_[c] = mean;
-      batch_var_[c] = var < 0.0 ? 0.0 : var;
-      running_mean_[c] = (1.0f - momentum_) * running_mean_[c] +
-                         momentum_ * static_cast<float>(mean);
-      running_var_[c] = (1.0f - momentum_) * running_var_[c] +
-                        momentum_ * static_cast<float>(batch_var_[c]);
-    }
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float inv_std =
-          1.0f / std::sqrt(static_cast<float>(batch_var_[c]) + eps_);
-      const float mean = static_cast<float>(batch_mean_[c]);
-      const float g = gamma_.value[c], b = beta_.value[c];
-      for (std::size_t n = 0; n < batch; ++n) {
-        const float* in_plane = x.data() + (n * channels_ + c) * hw;
-        float* out_plane = out.data() + (n * channels_ + c) * hw;
-        for (std::size_t i = 0; i < hw; ++i) {
-          out_plane[i] = (in_plane[i] - mean) * inv_std * g + b;
-        }
-      }
-    }
-  } else {
+  if (!train) {
+    // Inference normalizes in place: running statistics, same expression.
     for (std::size_t c = 0; c < channels_; ++c) {
       const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
       const float mean = running_mean_[c];
       const float g = gamma_.value[c], b = beta_.value[c];
       for (std::size_t n = 0; n < batch; ++n) {
-        const float* in_plane = x.data() + (n * channels_ + c) * hw;
-        float* out_plane = out.data() + (n * channels_ + c) * hw;
+        float* plane = x.data() + (n * channels_ + c) * hw;
         for (std::size_t i = 0; i < hw; ++i) {
-          out_plane[i] = (in_plane[i] - mean) * inv_std * g + b;
+          plane[i] = (plane[i] - mean) * inv_std * g + b;
         }
       }
     }
     cached_input_ = Tensor();
+    return x;
   }
+
+  Tensor out(x.shape());
+  batch_mean_.assign(channels_, 0.0);
+  batch_var_.assign(channels_, 0.0);
+  for (std::size_t c = 0; c < channels_; ++c) {
+    double sum = 0.0, sq = 0.0;
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* plane = x.data() + (n * channels_ + c) * hw;
+      for (std::size_t i = 0; i < hw; ++i) {
+        sum += plane[i];
+        sq += static_cast<double>(plane[i]) * plane[i];
+      }
+    }
+    const double mean = sum / static_cast<double>(per_channel);
+    // Biased variance, matching the normalization used in backward.
+    const double var = sq / static_cast<double>(per_channel) - mean * mean;
+    batch_mean_[c] = mean;
+    batch_var_[c] = var < 0.0 ? 0.0 : var;
+    running_mean_[c] = (1.0f - momentum_) * running_mean_[c] +
+                       momentum_ * static_cast<float>(mean);
+    running_var_[c] = (1.0f - momentum_) * running_var_[c] +
+                      momentum_ * static_cast<float>(batch_var_[c]);
+  }
+  for (std::size_t c = 0; c < channels_; ++c) {
+    const float inv_std =
+        1.0f / std::sqrt(static_cast<float>(batch_var_[c]) + eps_);
+    const float mean = static_cast<float>(batch_mean_[c]);
+    const float g = gamma_.value[c], b = beta_.value[c];
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* in_plane = x.data() + (n * channels_ + c) * hw;
+      float* out_plane = out.data() + (n * channels_ + c) * hw;
+      for (std::size_t i = 0; i < hw; ++i) {
+        out_plane[i] = (in_plane[i] - mean) * inv_std * g + b;
+      }
+    }
+  }
+  cached_input_ = std::move(x);
   return out;
 }
 

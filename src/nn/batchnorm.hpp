@@ -10,7 +10,7 @@ class BatchNorm2d final : public Layer {
   explicit BatchNorm2d(std::size_t channels, float momentum = 0.1f,
                        float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> state_tensors() override {

@@ -36,10 +36,13 @@ Conv2d::Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
 }
 
 ConvGeom Conv2d::geom_for(const Shape& in) const {
-  require(in.size() == 4, "Conv2d: expected [N,C,H,W], got " +
-                              shape_to_string(in));
-  require(in[1] == in_c_, "Conv2d: expected " + std::to_string(in_c_) +
-                              " input channels, got " + std::to_string(in[1]));
+  if (in.size() != 4) {
+    fail_argument("Conv2d: expected [N,C,H,W], got " + shape_to_string(in));
+  }
+  if (in[1] != in_c_) {
+    fail_argument("Conv2d: expected " + std::to_string(in_c_) +
+                  " input channels, got " + std::to_string(in[1]));
+  }
   ConvGeom g;
   g.in_c = in_c_;
   g.in_h = in[2];
@@ -47,8 +50,9 @@ ConvGeom Conv2d::geom_for(const Shape& in) const {
   g.k_h = g.k_w = kernel_;
   g.stride = stride_;
   g.pad = pad_;
-  require(g.valid(), "Conv2d: kernel does not fit input " +
-                         shape_to_string(in));
+  if (!g.valid()) {
+    fail_argument("Conv2d: kernel does not fit input " + shape_to_string(in));
+  }
   return g;
 }
 
@@ -57,7 +61,9 @@ Shape Conv2d::output_shape(const Shape& in) const {
   return {in[0], out_c_, g.out_h(), g.out_w()};
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
+Tensor Conv2d::forward(Tensor x, bool train) { return forward_ref(x, train); }
+
+Tensor Conv2d::forward_ref(const Tensor& x, bool train) {
   const ConvGeom g = geom_for(x.shape());
   const std::size_t batch = x.dim(0);
   const std::size_t hw = g.out_hw();

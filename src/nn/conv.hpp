@@ -22,7 +22,10 @@ class Conv2d final : public Layer {
   Conv2d(std::size_t in_c, std::size_t out_c, std::size_t kernel,
          std::size_t stride, std::size_t pad, Rng& rng, bool bias = true);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
+  /// forward() on a borrowed input, for callers that keep `x` afterwards
+  /// (BasicBlock's shortcut); forward() delegates here.
+  Tensor forward_ref(const Tensor& x, bool train);
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::string name() const override;

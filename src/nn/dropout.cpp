@@ -8,24 +8,23 @@ Dropout::Dropout(float p, std::uint64_t seed) : p_(p), rng_(seed) {
   require(p >= 0.0f && p < 1.0f, "Dropout: p must be in [0,1)");
 }
 
-Tensor Dropout::forward(const Tensor& x, bool train) {
+Tensor Dropout::forward(Tensor x, bool train) {
   if (!train || p_ == 0.0f) {
     kept_.clear();
     return x;
   }
   cached_shape_ = x.shape();
   kept_.assign(x.numel(), true);
-  Tensor out = x;
   const float scale = 1.0f / (1.0f - p_);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
+  for (std::size_t i = 0; i < x.numel(); ++i) {
     if (rng_.bernoulli(p_)) {
       kept_[i] = false;
-      out[i] = 0.0f;
+      x[i] = 0.0f;
     } else {
-      out[i] *= scale;
+      x[i] *= scale;
     }
   }
-  return out;
+  return x;
 }
 
 Tensor Dropout::backward(const Tensor& grad_out) {

@@ -11,7 +11,7 @@ class Dropout final : public Layer {
   /// p is the drop probability; seed makes the layer deterministic.
   Dropout(float p, std::uint64_t seed);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
   Shape output_shape(const Shape& in) const override { return in; }

@@ -49,8 +49,10 @@ class Layer {
   Layer& operator=(Layer&&) = default;
 
   /// Computes the layer output. When `train` is true, state needed by
-  /// backward (inputs, masks, statistics) is cached.
-  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  /// backward (inputs, masks, statistics) is cached. `x` is a sink: callers
+  /// that no longer need the activation std::move it in, and elementwise
+  /// layers then work in its storage at inference instead of copying it.
+  virtual Tensor forward(Tensor x, bool train) = 0;
 
   /// Propagates the loss gradient. Must follow forward(train=true);
   /// accumulates into each Param::grad and returns dL/dx.

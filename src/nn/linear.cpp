@@ -1,5 +1,7 @@
 #include "nn/linear.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "nn/gemm.hpp"
 
@@ -18,13 +20,17 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
 }
 
 Shape Linear::output_shape(const Shape& in) const {
-  require(in.size() == 2, "Linear: expected [N,F], got " + shape_to_string(in));
-  require(in[1] == in_, "Linear: expected " + std::to_string(in_) +
-                            " features, got " + std::to_string(in[1]));
+  if (in.size() != 2) {
+    fail_argument("Linear: expected [N,F], got " + shape_to_string(in));
+  }
+  if (in[1] != in_) {
+    fail_argument("Linear: expected " + std::to_string(in_) +
+                  " features, got " + std::to_string(in[1]));
+  }
   return {in[0], out_};
 }
 
-Tensor Linear::forward(const Tensor& x, bool train) {
+Tensor Linear::forward(Tensor x, bool train) {
   const Shape out_shape = output_shape(x.shape());
   const std::size_t batch = x.dim(0);
   Tensor out(out_shape);
@@ -33,7 +39,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   gemm_bt(x.data(), weight_.value.data(), out.data(), batch, in_, out_,
           /*accumulate=*/false,
           /*col_bias=*/has_bias_ ? bias_.value.data() : nullptr);
-  cached_input_ = train ? x : Tensor();
+  cached_input_ = train ? std::move(x) : Tensor();
   return out;
 }
 

@@ -11,7 +11,7 @@ class Linear final : public Layer {
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          bool bias = true);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::string name() const override;

@@ -15,7 +15,7 @@ Shape MaxPool2d::output_shape(const Shape& in) const {
   return {in[0], in[1], in[2] / window_, in[3] / window_};
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool train) {
+Tensor MaxPool2d::forward(Tensor x, bool train) {
   const Shape out_shape = output_shape(x.shape());
   const std::size_t batch = x.dim(0), ch = x.dim(1), in_h = x.dim(2),
                     in_w = x.dim(3);
@@ -31,8 +31,20 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
       const float* plane = x.data() + (n * ch + c) * in_h * in_w;
       for (std::size_t oh = 0; oh < out_h; ++oh) {
         for (std::size_t ow = 0; ow < out_w; ++ow, ++oi) {
-          float best = plane[(oh * window_) * in_w + ow * window_];
-          std::size_t best_idx = (oh * window_) * in_w + ow * window_;
+          const std::size_t corner = (oh * window_) * in_w + ow * window_;
+          float best = plane[corner];
+          if (!train) {
+            // Same `>` test as the tracked path, as a branchless select.
+            for (std::size_t dy = 0; dy < window_; ++dy) {
+              const float* row = plane + corner + dy * in_w;
+              for (std::size_t dx = 0; dx < window_; ++dx) {
+                best = row[dx] > best ? row[dx] : best;
+              }
+            }
+            out[oi] = best;
+            continue;
+          }
+          std::size_t best_idx = corner;
           for (std::size_t dy = 0; dy < window_; ++dy) {
             for (std::size_t dx = 0; dx < window_; ++dx) {
               const std::size_t idx =
@@ -44,9 +56,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool train) {
             }
           }
           out[oi] = best;
-          if (train) {
-            argmax_[oi] = (n * ch + c) * in_h * in_w + best_idx;
-          }
+          argmax_[oi] = (n * ch + c) * in_h * in_w + best_idx;
         }
       }
     }
@@ -75,7 +85,7 @@ Shape GlobalAvgPool::output_shape(const Shape& in) const {
   return {in[0], in[1], 1, 1};
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
+Tensor GlobalAvgPool::forward(Tensor x, bool train) {
   const Shape out_shape = output_shape(x.shape());
   const std::size_t batch = x.dim(0), ch = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
@@ -118,9 +128,10 @@ Shape Flatten::output_shape(const Shape& in) const {
   return {in[0], features};
 }
 
-Tensor Flatten::forward(const Tensor& x, bool train) {
+Tensor Flatten::forward(Tensor x, bool train) {
   if (train) cached_in_shape_ = x.shape();
-  return x.reshaped(output_shape(x.shape()));
+  x.reshape_inplace(output_shape(x.shape()));
+  return x;
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

@@ -11,7 +11,7 @@ class MaxPool2d final : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override;
   Shape output_shape(const Shape& in) const override;
@@ -27,7 +27,7 @@ class GlobalAvgPool final : public Layer {
  public:
   GlobalAvgPool() = default;
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "GlobalAvgPool"; }
   Shape output_shape(const Shape& in) const override;
@@ -41,7 +41,7 @@ class Flatten final : public Layer {
  public:
   Flatten() = default;
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "Flatten"; }
   Shape output_shape(const Shape& in) const override;

@@ -1,6 +1,9 @@
 #include "nn/residual.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
+#include "nn/activation.hpp"
 
 namespace safelight::nn {
 
@@ -22,7 +25,6 @@ Shape BasicBlock::output_shape(const Shape& in) const {
 }
 
 Tensor BasicBlock::shortcut_forward(const Tensor& x) const {
-  if (stride_ == 1 && in_c_ == out_c_) return x;
   const std::size_t batch = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
   const std::size_t out_h = (in_h - 1) / stride_ + 1;
   const std::size_t out_w = (in_w - 1) / stride_ + 1;
@@ -43,7 +45,7 @@ Tensor BasicBlock::shortcut_forward(const Tensor& x) const {
 
 Tensor BasicBlock::shortcut_backward(const Tensor& grad,
                                      const Shape& in_shape) const {
-  if (stride_ == 1 && in_c_ == out_c_) return grad;
+  if (identity_shortcut()) return grad;
   const std::size_t batch = in_shape[0], in_h = in_shape[2],
                     in_w = in_shape[3];
   const std::size_t out_h = grad.dim(2), out_w = grad.dim(3);
@@ -62,29 +64,19 @@ Tensor BasicBlock::shortcut_backward(const Tensor& grad,
   return grad_in;
 }
 
-Tensor BasicBlock::forward(const Tensor& x, bool train) {
+Tensor BasicBlock::forward(Tensor x, bool train) {
   if (train) cached_in_shape_ = x.shape();
-  Tensor h = conv1_.forward(x, train);
-  h = bn1_.forward(h, train);
-  if (train) relu1_mask_.assign(h.numel(), false);
-  for (std::size_t i = 0; i < h.numel(); ++i) {
-    if (h[i] > 0.0f) {
-      if (train) relu1_mask_[i] = true;
-    } else {
-      h[i] = 0.0f;
-    }
+  Tensor h = conv1_.forward_ref(x, train);
+  h = bn1_.forward(std::move(h), train);
+  relu_inplace(h, train ? &relu1_mask_ : nullptr);
+  h = conv2_.forward(std::move(h), train);
+  h = bn2_.forward(std::move(h), train);
+  if (identity_shortcut()) {
+    h += x;
+  } else {
+    h += shortcut_forward(x);
   }
-  h = conv2_.forward(h, train);
-  h = bn2_.forward(h, train);
-  h += shortcut_forward(x);
-  if (train) relu2_mask_.assign(h.numel(), false);
-  for (std::size_t i = 0; i < h.numel(); ++i) {
-    if (h[i] > 0.0f) {
-      if (train) relu2_mask_[i] = true;
-    } else {
-      h[i] = 0.0f;
-    }
-  }
+  relu_inplace(h, train ? &relu2_mask_ : nullptr);
   return h;
 }
 

@@ -18,7 +18,7 @@ class BasicBlock final : public Layer {
   BasicBlock(std::size_t in_c, std::size_t out_c, std::size_t stride,
              Rng& rng);
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
   std::vector<Tensor*> state_tensors() override;
@@ -26,6 +26,9 @@ class BasicBlock final : public Layer {
   Shape output_shape(const Shape& in) const override;
 
  private:
+  bool identity_shortcut() const { return stride_ == 1 && in_c_ == out_c_; }
+  /// Option-A shortcut (strided subsample + zero channel pad); the identity
+  /// shortcut adds the block input directly instead.
   Tensor shortcut_forward(const Tensor& x) const;
   Tensor shortcut_backward(const Tensor& grad, const Shape& in_shape) const;
 

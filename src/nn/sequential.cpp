@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -13,19 +14,18 @@ Layer& Sequential::add(LayerPtr layer) {
   return *layers_.back();
 }
 
-Tensor Sequential::forward(const Tensor& x, bool train) {
-  return forward_from(0, x, train);
+Tensor Sequential::forward(Tensor x, bool train) {
+  return forward_from(0, std::move(x), train);
 }
 
-Tensor Sequential::forward_from(std::size_t begin_layer, const Tensor& h,
+Tensor Sequential::forward_from(std::size_t begin_layer, Tensor h,
                                 bool train) {
   require(begin_layer <= layers_.size(),
           "Sequential::forward_from: layer index out of range");
-  Tensor cur = h;
   for (std::size_t i = begin_layer; i < layers_.size(); ++i) {
-    cur = layers_[i]->forward(cur, train);
+    h = layers_[i]->forward(std::move(h), train);
   }
-  return cur;
+  return h;
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {

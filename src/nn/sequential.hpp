@@ -24,7 +24,7 @@ class Sequential final : public Layer {
     return ref;
   }
 
-  Tensor forward(const Tensor& x, bool train) override;
+  Tensor forward(Tensor x, bool train) override;
 
   /// Resumes a forward pass at `begin_layer` from a previously computed
   /// activation `h` (the output of layer begin_layer - 1). forward(x, t) is
@@ -32,7 +32,7 @@ class Sequential final : public Layer {
   /// bitwise-identical outputs. This is the entry point of the attack
   /// sweep's prefix-activation cache: scenarios that only corrupt layers
   /// >= L re-use the cached clean activations for layers < L.
-  Tensor forward_from(std::size_t begin_layer, const Tensor& h, bool train);
+  Tensor forward_from(std::size_t begin_layer, Tensor h, bool train);
 
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;

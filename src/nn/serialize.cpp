@@ -207,8 +207,10 @@ void restore_state(Sequential& model, const std::vector<Tensor>& snapshot) {
   require(snapshot.size() == slots.size(),
           "restore_state: snapshot tensor count mismatch");
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    require(snapshot[i].shape() == slots[i].tensor->shape(),
-            "restore_state: shape mismatch at tensor " + std::to_string(i));
+    if (snapshot[i].shape() != slots[i].tensor->shape()) {
+      fail_argument("restore_state: shape mismatch at tensor " +
+                    std::to_string(i));
+    }
     *slots[i].tensor = snapshot[i];
   }
 }

@@ -28,15 +28,19 @@ std::string shape_to_string(const Shape& shape) {
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)), data_(shape_numel(shape_), 0.0f) {
   for (std::size_t d : shape_) {
-    require(d > 0, "Tensor: zero-sized dimension in " + shape_to_string(shape_));
+    if (d == 0) {
+      fail_argument("Tensor: zero-sized dimension in " +
+                    shape_to_string(shape_));
+    }
   }
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
     : shape_(std::move(shape)), data_(std::move(data)) {
-  require(data_.size() == shape_numel(shape_),
-          "Tensor: data size " + std::to_string(data_.size()) +
-              " does not match shape " + shape_to_string(shape_));
+  if (data_.size() != shape_numel(shape_)) {
+    fail_argument("Tensor: data size " + std::to_string(data_.size()) +
+                  " does not match shape " + shape_to_string(shape_));
+  }
 }
 
 Tensor Tensor::full(Shape shape, float value) {
@@ -107,9 +111,10 @@ Tensor Tensor::reshaped(Shape new_shape) const {
 }
 
 void Tensor::reshape_inplace(Shape new_shape) {
-  require(shape_numel(new_shape) == data_.size(),
-          "Tensor::reshape: numel mismatch " + shape_to_string(shape_) +
-              " -> " + shape_to_string(new_shape));
+  if (shape_numel(new_shape) != data_.size()) {
+    fail_argument("Tensor::reshape: numel mismatch " + shape_to_string(shape_) +
+                  " -> " + shape_to_string(new_shape));
+  }
   shape_ = std::move(new_shape);
 }
 
@@ -118,9 +123,11 @@ void Tensor::fill(float value) {
 }
 
 void Tensor::check_same_shape(const Tensor& rhs, const char* op) const {
-  require(shape_ == rhs.shape_,
-          std::string("Tensor::") + op + ": shape mismatch " +
-              shape_to_string(shape_) + " vs " + shape_to_string(rhs.shape_));
+  if (shape_ != rhs.shape_) {
+    fail_argument(std::string("Tensor::") + op + ": shape mismatch " +
+                  shape_to_string(shape_) + " vs " +
+                  shape_to_string(rhs.shape_));
+  }
 }
 
 Tensor& Tensor::operator+=(const Tensor& rhs) {

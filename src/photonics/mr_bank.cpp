@@ -1,5 +1,6 @@
 #include "photonics/mr_bank.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -38,9 +39,11 @@ MrBank::MrBank(const MrGeometry& geometry, const WdmGrid& grid,
 }
 
 void MrBank::set_weights(const std::vector<double>& weights) {
-  require(weights.size() == rings_.size(),
-          "MrBank::set_weights: expected " + std::to_string(rings_.size()) +
-              " weights, got " + std::to_string(weights.size()));
+  if (weights.size() != rings_.size()) {
+    fail_argument("MrBank::set_weights: expected " +
+                  std::to_string(rings_.size()) + " weights, got " +
+                  std::to_string(weights.size()));
+  }
   nominal_ = weights;
   for (std::size_t i = 0; i < rings_.size(); ++i) {
     const double magnitude = std::abs(weights[i]);
@@ -77,12 +80,27 @@ double MrBank::channel_transmission(std::size_t channel) const {
 }
 
 std::vector<double> MrBank::effective_weights() const {
-  std::vector<double> out(rings_.size());
-  for (std::size_t c = 0; c < rings_.size(); ++c) {
+  // Ring-outer, channel-inner: each ring's resonance and linewidth are
+  // computed once per call instead of once per channel. Channel c's product
+  // still starts at 1 and multiplies rings 0..K-1 in order, each term being
+  // Microring::transmission's exact expression, so it rounds bit for bit
+  // like channel_transmission(c). The loop is bound by its two divisions,
+  // which is why it has no ISA-specific variant.
+  const std::vector<double>& wavelengths = grid_.wavelengths();
+  std::vector<double> out(rings_.size(), 1.0);
+  for (const Microring& ring : rings_) {
+    const double resonance = ring.resonance_nm();
+    const double half_width = 0.5 * ring.fwhm_nm();
+    const double depth = 1.0 - ring.geometry().t_min;
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      const double x = (wavelengths[c] - resonance) / half_width;
+      out[c] *= 1.0 - depth / (1.0 + x * x);
+    }
+  }
+  for (std::size_t c = 0; c < out.size(); ++c) {
     // The electronic decode subtracts the t_min offset; optical power below
     // the floor (several notches stacked on one channel) reads as zero.
-    const double magnitude =
-        std::max(0.0, encoding_.to_magnitude(channel_transmission(c)));
+    const double magnitude = std::max(0.0, encoding_.to_magnitude(out[c]));
     out[c] = static_cast<double>(signs_[c]) * magnitude;
   }
   return out;

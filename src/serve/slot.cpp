@@ -134,12 +134,18 @@ std::vector<std::string> Job::wait_events(std::size_t from,
   std::unique_lock<std::mutex> lock(mutex_);
   if (from >= events_.size() && state_ != JobState::kDone &&
       state_ != JobState::kFailed && state_ != JobState::kCancelled) {
-    events_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                        [&] { return events_.size() > from; });
+    events_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+      return events_.size() > from || state_ == JobState::kDone;
+    });
   }
   std::vector<std::string> batch;
   for (std::size_t i = from; i < events_.size(); ++i) {
     batch.push_back(events_[i]);
+  }
+  // A finished job's `result` event is not stored: it is rendered here
+  // from result_json_ as the stream's last line, one past events_.
+  if (state_ == JobState::kDone && from <= events_.size()) {
+    batch.push_back(encode_result_event(*this, wall_seconds_, result_json_));
   }
   return batch;
 }
@@ -156,7 +162,7 @@ void Job::mark_done(double wall_seconds, std::string result_json) {
   state_ = JobState::kDone;
   wall_seconds_ = wall_seconds;
   result_json_ = std::move(result_json);
-  push_event_locked(encode_result_event(*this, wall_seconds, result_json_));
+  events_cv_.notify_all();  // wait_events renders the result event
 }
 
 void Job::mark_failed(const std::string& message) {

@@ -77,7 +77,9 @@ class Job {
   /// An empty return with terminal() true means the stream is complete.
   std::vector<std::string> wait_events(std::size_t from, int timeout_ms) const;
 
-  /// Slot-thread transitions (each appends the corresponding event).
+  /// Slot-thread transitions (each appends the corresponding event). The
+  /// result is stored once, in result_json_: wait_events renders the
+  /// terminal `result` event from it rather than keeping an escaped copy.
   void mark_running(int slot);
   void mark_done(double wall_seconds, std::string result_json);
   void mark_failed(const std::string& message);

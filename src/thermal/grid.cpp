@@ -19,9 +19,10 @@ ThermalGrid::ThermalGrid(const GridConfig& config) : config_(config) {
 }
 
 std::size_t ThermalGrid::index(std::size_t row, std::size_t col) const {
-  require(row < config_.rows && col < config_.cols,
-          "ThermalGrid: cell (" + std::to_string(row) + "," +
-              std::to_string(col) + ") out of range");
+  if (row >= config_.rows || col >= config_.cols) {
+    fail_argument("ThermalGrid: cell (" + std::to_string(row) + "," +
+                  std::to_string(col) + ") out of range");
+  }
   return row * config_.cols + col;
 }
 

@@ -2,7 +2,10 @@
 // transmission, weight imprint inversion, WDM grids, banks, converters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "photonics/constants.hpp"
 #include "photonics/converters.hpp"
@@ -332,6 +335,78 @@ TEST(MrBank, EncodingFloorMustCoverDevice) {
   WeightEncoding enc;
   enc.t_min = 0.02;  // below the device's extinction floor
   EXPECT_THROW(MrBank(g, grid, enc), std::invalid_argument);
+}
+
+// effective_weights() against the per-ring Microring API: channel c is
+// max(0, decode(prod_i ring(i).transmission(lambda_c))) with the channel's
+// sign, bit for bit.
+std::vector<double> per_ring_effective_weights(const MrBank& bank) {
+  std::vector<double> out(bank.size());
+  for (std::size_t c = 0; c < bank.size(); ++c) {
+    const double wavelength = bank.grid().wavelength(c);
+    double product = 1.0;
+    for (std::size_t i = 0; i < bank.size(); ++i) {
+      product *= bank.ring(i).transmission(wavelength);
+    }
+    const double magnitude =
+        std::max(0.0, bank.encoding().to_magnitude(product));
+    out[c] = (bank.nominal_weights()[c] < 0.0 ? -1.0 : 1.0) * magnitude;
+  }
+  return out;
+}
+
+TEST(MrBank, EffectiveWeightsMatchPerRingProductBitwise) {
+  // The accelerator's two bank geometries: CONV (20 rings, default Q) and
+  // FC (150 rings, high Q).
+  for (const BankSize size : {BankSize{20, kDefaultQ}, BankSize{150, kHighQ}}) {
+    MrGeometry g;
+    g.q_factor = size.q;
+    const Microring reference(g, 1550.0);
+    MrBank bank(g, WdmGrid(size.channels, 1550.0, reference.fsr_nm()));
+    const std::size_t k = bank.size();
+    Rng rng(size.channels);
+
+    // Mixed signs, exact zeros (both signs) and full-scale magnitudes.
+    std::vector<double> weights(k);
+    for (std::size_t i = 0; i < k; ++i) weights[i] = rng.uniform(-1.0, 1.0);
+    weights[0] = 0.0;
+    weights[1] = -0.0;
+    weights[2] = 1.0;
+    weights[3] = -1.0;
+    const std::vector<double> zeros(k, 0.0);
+
+    const auto expect_bitwise = [&](const char* state) {
+      const std::vector<double> got = bank.effective_weights();
+      const std::vector<double> want = per_ring_effective_weights(bank);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << k << " rings, " << state;
+    };
+
+    bank.set_weights(zeros);
+    expect_bitwise("all-zero weights");
+    bank.set_weights(weights);
+    expect_bitwise("nominal");
+
+    bank.park_off_resonance(4);
+    bank.park_off_resonance(k / 2, 0.25 * bank.grid().spacing_nm());
+    bank.park_off_resonance(k - 1);
+    expect_bitwise("parked rings");
+
+    bank.set_weights(weights);
+    for (std::size_t i = 0; i < k; ++i) bank.set_temperature_delta(i, 7.5);
+    expect_bitwise("uniform delta-T");
+
+    bank.set_weights(weights);
+    for (std::size_t i = 0; i < k; ++i) {
+      bank.set_temperature_delta(i, rng.uniform(0.0, 40.0));
+    }
+    expect_bitwise("per-ring delta-T");
+    bank.park_off_resonance(5);
+    expect_bitwise("per-ring delta-T and a parked ring");
+  }
 }
 
 // ---------------------------------------------------------------- laser/pd

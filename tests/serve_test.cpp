@@ -834,6 +834,40 @@ TEST(ServeEndToEnd, DeeplyNestedBodyIsRejectedAndDaemonKeepsServing) {
   EXPECT_EQ(http_get(port, "/v1/jobs/" + job + "/result").status, 200);
 }
 
+TEST(ServeEndToEnd, LateEventsStreamEndsWithTheStoredResult) {
+  ensure_block_experiment();
+  TempDir dir("serve_e2e_late_events");
+  ServerFixture fixture(dir.path(), /*slots=*/1);
+  const std::uint16_t port = fixture.port();
+
+  const SimpleResponse submitted =
+      http_post(port, "/v1/jobs", "{\"experiment\": \"test_block\"}");
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  const std::string job =
+      JsonValue::parse(submitted.body).at("job").as_string();
+  ASSERT_TRUE(wait_until([&] { return g_block_started.load() == 1; }, 10.0));
+  g_block_release.store(true);
+  ASSERT_TRUE(wait_until(
+      [&] { return poll_job_state(port, job) == "done"; }, 10.0));
+
+  // The stream is opened only now: the finished job keeps its result once,
+  // and the terminal event is rendered from it.
+  const SimpleResponse events = http_get(port, "/v1/jobs/" + job + "/events");
+  ASSERT_EQ(events.status, 200);
+  ASSERT_FALSE(events.body.empty());
+  ASSERT_EQ(events.body.back(), '\n');
+  const std::size_t last_begin =
+      events.body.rfind('\n', events.body.size() - 2) + 1;
+  const JsonValue last = JsonValue::parse(events.body.substr(last_begin));
+  EXPECT_EQ(last.at("type").as_string(), "result");
+  EXPECT_EQ(last.at("job").as_string(), job);
+
+  const SimpleResponse result = http_get(port, "/v1/jobs/" + job + "/result");
+  ASSERT_EQ(result.status, 200);
+  EXPECT_EQ(last.at("result").as_string(), result.body);
+  EXPECT_EQ(fixture.shutdown(), 130);
+}
+
 // ---------------------------------------------------------------------------
 // The real CLI as a child process: `serve` signal handling, `list --json`
 // ---------------------------------------------------------------------------

@@ -117,6 +117,22 @@ void BM_Conv2dForwardDeep(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardDeep);
 
+// VGG16v conv2 shape at default scale: stride 1 with 16-pixel output rows,
+// the direct path (no panel packing).
+void BM_Conv2dForwardWide(benchmark::State& state) {
+  sl::Rng rng(4);
+  sl::nn::Conv2d conv(16, 32, 3, 1, 1, rng);
+  sl::nn::Tensor x({64, 16, 16, 16});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  for (auto _ : state) {
+    auto out = conv.forward(x, false);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_Conv2dForwardWide);
+
 void BM_MrBankEffectiveWeights(benchmark::State& state) {
   const auto channels = static_cast<std::size_t>(state.range(0));
   sl::phot::MrGeometry geometry;

@@ -38,21 +38,6 @@ void OnnExecutor::condition_weights(nn::Sequential& model) const {
 
 namespace {
 
-bool layer_is_mapped(nn::Layer& layer) {
-  for (nn::Param* p : layer.params()) {
-    if (p->kind != nn::ParamKind::kElectronic) return true;
-  }
-  return false;
-}
-
-/// Which block computed this layer: conv weights -> CONV, else FC.
-BlockKind layer_block(nn::Layer& layer) {
-  for (nn::Param* p : layer.params()) {
-    if (p->kind == nn::ParamKind::kConvWeight) return BlockKind::kConv;
-  }
-  return BlockKind::kFc;
-}
-
 void quantize_activations(nn::Tensor& t, const phot::Adc& adc) {
   float scale = t.abs_max();
   if (scale == 0.0f) return;
@@ -81,12 +66,16 @@ nn::Tensor OnnExecutor::walk(nn::Sequential& model, nn::Tensor h,
   }
   const phot::Adc adc(phot::QuantizerConfig{config_.adc_bits, -1.0, 1.0});
   for (std::size_t i = begin_layer; i < end_layer; ++i) {
-    nn::Layer& layer = model.layer(i);
-    h = layer.forward(std::move(h), /*train=*/false);
-    if (!layer_is_mapped(layer)) continue;
+    h = model.layer(i).forward(std::move(h), /*train=*/false);
+    // Conv weights put a layer on the CONV block, linear ones on FC.
+    const nn::ParamKind kind = model.weight_kind(i);
+    if (kind == nn::ParamKind::kElectronic) continue;
     if (options_.quantize_activations) quantize_activations(h, adc);
+    const BlockKind block = kind == nn::ParamKind::kConvWeight
+                                ? BlockKind::kConv
+                                : BlockKind::kFc;
     for (const HookEntry& entry : readout_hooks_) {
-      entry.hook(h, layer_block(layer), h.abs_max());
+      entry.hook(h, block, h.abs_max());
     }
   }
   return h;

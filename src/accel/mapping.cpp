@@ -73,7 +73,7 @@ WeightRef WeightStationaryMapping::weight(BlockKind block,
       [](std::size_t idx, const TensorRange& r) { return idx < r.end; });
   SAFELIGHT_ASSERT(it != rs.end() && weight_index >= it->begin,
                    "weight: range lookup failed");
-  return WeightRef{it->param, weight_index - it->begin};
+  return WeightRef{it->param, weight_index - it->begin, it->scale};
 }
 
 std::vector<WeightRef> WeightStationaryMapping::weights_on_slot(
@@ -90,26 +90,31 @@ std::vector<WeightRef> WeightStationaryMapping::weights_on_slot(
 
 std::vector<std::vector<WeightRef>> WeightStationaryMapping::bank_weights(
     const BankAddress& addr) const {
+  const std::size_t group = config_.block(addr.block).mrs_per_bank;
+  std::vector<WeightRef> flat;
+  bank_weights(addr, flat);
+  std::vector<std::vector<WeightRef>> out;
+  for (std::size_t g = 0; g < flat.size(); g += group) {
+    out.emplace_back(flat.data() + g, flat.data() + g + group);
+  }
+  return out;
+}
+
+void WeightStationaryMapping::bank_weights(const BankAddress& addr,
+                                           std::vector<WeightRef>& out) const {
   const BlockDims& dims = config_.block(addr.block);
   const std::size_t bank_base =
       bank_flat_index(dims, addr) * dims.mrs_per_bank;
   const std::size_t count = weight_count(addr.block);
-  const std::size_t pass_count = passes(addr.block);
-
-  std::vector<std::vector<WeightRef>> out;
-  for (std::size_t pass = 0; pass < pass_count; ++pass) {
-    std::vector<WeightRef> group(dims.mrs_per_bank);
-    bool any = false;
+  out.clear();
+  // Weights fill passes in order, so only trailing passes can miss the bank.
+  for (std::size_t first = bank_base; first < count;
+       first += dims.slot_count()) {
     for (std::size_t mr = 0; mr < dims.mrs_per_bank; ++mr) {
-      const std::size_t w = pass * dims.slot_count() + bank_base + mr;
-      if (w < count) {
-        group[mr] = weight(addr.block, w);
-        any = true;
-      }
+      const std::size_t w = first + mr;
+      out.push_back(w < count ? weight(addr.block, w) : WeightRef{});
     }
-    if (any) out.push_back(std::move(group));
   }
-  return out;
 }
 
 float WeightStationaryMapping::scale_of(const nn::Param* param) const {

@@ -26,6 +26,7 @@ namespace safelight::accel {
 struct WeightRef {
   nn::Param* param = nullptr;
   std::size_t offset = 0;  // flat index into param->value
+  float scale = 1.0f;      // the tensor's scale_of() when looked up
 
   float read() const { return param->value[offset]; }
   void write(float v) const { param->value[offset] = v; }
@@ -59,11 +60,17 @@ class WeightStationaryMapping {
   std::vector<std::vector<WeightRef>> bank_weights(
       const BankAddress& addr) const;
 
+  /// bank_weights() flattened into a caller-owned buffer that keeps its
+  /// capacity across calls: group g is out[g * mrs_per_bank, (g + 1) *
+  /// mrs_per_bank). Empty when no weights live on the bank.
+  void bank_weights(const BankAddress& addr, std::vector<WeightRef>& out) const;
+
   /// The weight reference for a mapped index.
   WeightRef weight(BlockKind block, std::size_t weight_index) const;
 
   /// Per-tensor normalization scale (max |w|) used when imprinting; scales
-  /// are captured at construction and after each refresh().
+  /// are captured at construction and after each refresh(). A linear scan:
+  /// hot loops read WeightRef::scale instead.
   float scale_of(const nn::Param* param) const;
 
   /// Re-captures normalization scales (call after retraining / reloading).

@@ -47,7 +47,7 @@ CorruptionStats apply_actuation(accel::WeightStationaryMapping& mapping,
                              : stuck_fc;
     for (const accel::WeightRef& ref :
          mapping.weights_on_slot(trojan.victim_slot)) {
-      const float scale = mapping.scale_of(ref.param);
+      const float scale = ref.scale;
       const float old_value = ref.read();
       const float sign = old_value < 0.0f ? -1.0f : 1.0f;
       const float corrupted = sign * static_cast<float>(stuck) * scale;
@@ -80,6 +80,7 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
     // each ring and clears its detuning and temperature delta.
     phot::MrBank bank(geometry, grid, accel_config.encoding);
     std::vector<double> normalized(dims.mrs_per_bank);
+    std::vector<accel::WeightRef> refs;  // a hit bank's weights, by pass
 
     // Minimum delta-T that produces a significant resonance shift.
     const phot::Microring reference(geometry, accel_config.center_wavelength_nm);
@@ -124,30 +125,31 @@ CorruptionStats apply_hotspot(accel::WeightStationaryMapping& mapping,
       if (delta_t < min_delta_t) continue;
 
       const accel::BankAddress addr = accel::bank_from_flat(dims, kind, flat);
-      const auto pass_groups = mapping.bank_weights(addr);
-      if (pass_groups.empty()) continue;  // no weights live on this bank
+      mapping.bank_weights(addr, refs);
+      if (refs.empty()) continue;  // no weights live on this bank
       ++stats.thermally_hit_banks;
       stats.attacked_mrs += dims.mrs_per_bank;
 
-      for (const auto& group : pass_groups) {
+      for (std::size_t first = 0; first < refs.size();
+           first += dims.mrs_per_bank) {
+        const accel::WeightRef* group = refs.data() + first;
         // Normalized signed weights for this pass (missing slots -> 0).
         std::fill(normalized.begin(), normalized.end(), 0.0);
-        for (std::size_t mr = 0; mr < group.size(); ++mr) {
+        for (std::size_t mr = 0; mr < dims.mrs_per_bank; ++mr) {
           if (group[mr].param == nullptr) continue;
-          const float scale = mapping.scale_of(group[mr].param);
           normalized[mr] = std::clamp(
-              static_cast<double>(group[mr].read()) / scale, -1.0, 1.0);
+              static_cast<double>(group[mr].read()) / group[mr].scale, -1.0,
+              1.0);
         }
         bank.set_weights(normalized);
         for (std::size_t mr = 0; mr < dims.mrs_per_bank; ++mr) {
           bank.set_temperature_delta(mr, delta_t);
         }
         const std::vector<double> effective = bank.effective_weights();
-        for (std::size_t mr = 0; mr < group.size(); ++mr) {
+        for (std::size_t mr = 0; mr < dims.mrs_per_bank; ++mr) {
           if (group[mr].param == nullptr) continue;
-          const float scale = mapping.scale_of(group[mr].param);
           const float corrupted =
-              static_cast<float>(effective[mr]) * scale;
+              static_cast<float>(effective[mr]) * group[mr].scale;
           if (std::abs(corrupted - group[mr].read()) > kChangeEpsilon) {
             group[mr].write(corrupted);
             ++stats.corrupted_weights;

@@ -1,7 +1,7 @@
 // Thread-local scratch arena for kernel temporaries.
 //
 // Conv2d forward/backward and the packed GEMM need per-call float buffers
-// (im2col columns, packed B panels). Allocating std::vectors for them on
+// (im2col columns, packed B panels, zero-padded images). Allocating std::vectors for them on
 // every batch item dominated small-kernel runtime; the arena instead bump-
 // allocates from thread-local blocks that are reused across calls, so the
 // steady-state cost of a scratch buffer is a pointer increment.

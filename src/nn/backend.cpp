@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 
 #include "common/config.hpp"
@@ -169,7 +170,7 @@ ScopedBackend::~ScopedBackend() {
 std::string kernel_fingerprint(const ComputeBackend& backend) {
   // Deterministic probe problem: shapes exercise the unroll tail (k % 4),
   // partial row blocks (m % kMr) and partial panels (n % kNr), both bias
-  // epilogues, accumulation, and all three entry points. A conforming
+  // epilogues, accumulation, and all four entry points. A conforming
   // variant reproduces gemm_ref bit for bit, so the digest is the same on
   // every host and every variant of a conforming binary; it only changes
   // when the kernel's math changes — which is exactly what the distributed
@@ -199,6 +200,24 @@ std::string kernel_fingerprint(const ComputeBackend& backend) {
   digest.mix_bytes(c, sizeof c);
   gemm_at(at, b, c, kM, kK, kN, /*accumulate=*/false);
   digest.mix_bytes(c, sizeof c);
+
+  // The direct entry over overlapping rows, conv-style: row p starts at
+  // window + 3p and is read in whole panels. It must compute gemm's numbers
+  // on the same B, so its bytes are mixed in only when they differ: a
+  // conforming variant keeps the digest it had before the entry existed.
+  float window[3 * (kK - 1) + (kN + kNr - 1) / kNr * kNr];
+  std::size_t offsets[kK];
+  for (float& v : window) v = next();
+  for (std::size_t p = 0; p < kK; ++p) {
+    offsets[p] = 3 * p;
+    std::copy_n(window + offsets[p], kN, b + p * kN);
+  }
+  float direct[kM * kN];
+  gemm(a, b, c, kM, kK, kN, /*accumulate=*/false, row_bias);
+  gemm_direct(a, window, offsets, direct, kM, kK, kN, row_bias);
+  if (std::memcmp(direct, c, sizeof c) != 0) {
+    digest.mix_bytes(direct, sizeof direct);
+  }
   return digest.hex16();
 }
 

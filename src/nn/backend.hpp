@@ -26,9 +26,13 @@
 // genuinely different numerics and is rejected (dist/coordinator.cpp).
 //
 // ComputeBackend owns only the GEMM kernel table. Convolution reaches it
-// through gemm_packed over panels im2col_pack builds from the NCHW input,
-// so conv needs no per-variant code; other kernels (quantize, remote/GPU
-// backends) would slot in beside the table without touching call sites.
+// two ways: stride-1 layers with wide output rows through run_rows_direct,
+// which reads B's rows straight from a zero-padded image at per-layer
+// offsets (no panels are written), and every other layer through
+// gemm_packed over panels im2col_pack builds from the NCHW input. Both are
+// the one micro-kernel body with a different B fetch, so conv's per-variant
+// code is that fetch; other kernels (quantize, remote/GPU backends) would
+// slot in beside the table without touching call sites.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +52,10 @@ inline constexpr std::size_t kNr = 32;
 /// allocation and row parallelism; variants only compute over raw pointers.
 struct GemmArgs {
   const float* a = nullptr;       // row-major [m x k], or [k x m] for *_at
-  const float* packed = nullptr;  // B packed into kNr-wide panels
+  const float* packed = nullptr;  // B packed into kNr-wide panels, or the
+                                  // unpacked B of run_rows_direct
+  const std::size_t* b_offsets = nullptr;  // run_rows_direct: B row p
+                                           // starts at packed + b_offsets[p]
   float* c = nullptr;             // row-major [m x n]
   std::size_t m = 0;
   std::size_t k = 0;
@@ -73,6 +80,11 @@ struct GemmKernels {
   void (*run_rows)(const GemmArgs& args, std::size_t lo, std::size_t hi);
   /// Same, fetching A transposed (A stored [k x m], read a[p*m + i]).
   void (*run_rows_at)(const GemmArgs& args, std::size_t lo, std::size_t hi);
+  /// run_rows over an unpacked B: element (p, j) is packed[b_offsets[p] + j].
+  /// Each row is read in whole kNr-wide panels, so it needs
+  /// ceil(n / kNr) * kNr readable floats; lanes past n are never stored.
+  void (*run_rows_direct)(const GemmArgs& args, std::size_t lo,
+                          std::size_t hi);
 };
 
 /// One compute substrate the dispatcher can route kernels through.
@@ -130,7 +142,7 @@ class ScopedBackend {
 
 /// Digest of the kernel *numerics*: a deterministic probe problem (shapes
 /// covering the unroll tail, partial row blocks and partial panels, both
-/// epilogues, all three entry points) run through `backend`, output bytes
+/// epilogues, all four entry points) run through `backend`, output bytes
 /// hashed. Identical across hosts and across conforming variants — the
 /// contract above — so a mismatch means genuinely different math, which is
 /// what the distributed handshake must refuse to merge.

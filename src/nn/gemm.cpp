@@ -100,11 +100,11 @@ float* alloc_packed(ScratchArena& arena, std::size_t k, std::size_t n) {
   return arena.alloc(ceil_div(n, backend::kNr) * backend::kNr * k);
 }
 
-/// Runs the row driver of `kernels` over all of C in parallel chunks.
-void run_parallel(const backend::GemmKernels& kernels,
-                  const backend::GemmArgs& args, bool transposed_a) {
-  void (*run)(const backend::GemmArgs&, std::size_t, std::size_t) =
-      transposed_a ? kernels.run_rows_at : kernels.run_rows;
+/// Runs one row driver of the kernel table over all of C in parallel
+/// chunks.
+void run_parallel(void (*run)(const backend::GemmArgs&, std::size_t,
+                              std::size_t),
+                  const backend::GemmArgs& args) {
   parallel_for_chunks(
       0, args.m,
       [&](std::size_t lo, std::size_t hi) { run(args, lo, hi); }, kRowGrain);
@@ -118,16 +118,20 @@ void gemm_packed(const float* a, const float* packed, float* c, std::size_t m,
   if (m == 0 || n == 0) return;
   const backend::ComputeBackend& active = backend::active();
   const GemmScope scope("gemm", active.name(), m, k, n);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
-  args.row_bias = row_bias;
-  run_parallel(active.gemm_kernels(), args, /*transposed_a=*/false);
+  run_parallel(active.gemm_kernels().run_rows,
+               {.a = a, .packed = packed, .c = c, .m = m, .k = k, .n = n,
+                .accumulate = accumulate, .row_bias = row_bias});
+}
+
+void gemm_direct(const float* a, const float* b, const std::size_t* offsets,
+                 float* c, std::size_t m, std::size_t k, std::size_t n,
+                 const float* row_bias) {
+  if (m == 0 || n == 0) return;
+  const backend::ComputeBackend& active = backend::active();
+  const GemmScope scope("gemm_direct", active.name(), m, k, n);
+  run_parallel(active.gemm_kernels().run_rows_direct,
+               {.a = a, .packed = b, .b_offsets = offsets, .c = c, .m = m,
+                .k = k, .n = n, .row_bias = row_bias});
 }
 
 void gemm(const float* a, const float* b, float* c, std::size_t m,
@@ -152,16 +156,9 @@ void gemm_bt(const float* a, const float* b, float* c, std::size_t m,
   const ScratchArena::Frame frame(arena);
   float* packed = alloc_packed(arena, k, n);
   kernels.pack_bt(b, k, n, packed);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
-  args.col_bias = col_bias;
-  run_parallel(kernels, args, /*transposed_a=*/false);
+  run_parallel(kernels.run_rows,
+               {.a = a, .packed = packed, .c = c, .m = m, .k = k, .n = n,
+                .accumulate = accumulate, .col_bias = col_bias});
 }
 
 void gemm_at(const float* a, const float* b, float* c, std::size_t m,
@@ -174,15 +171,9 @@ void gemm_at(const float* a, const float* b, float* c, std::size_t m,
   const ScratchArena::Frame frame(arena);
   float* packed = alloc_packed(arena, k, n);
   kernels.pack_b(b, k, n, packed);
-  backend::GemmArgs args;
-  args.a = a;
-  args.packed = packed;
-  args.c = c;
-  args.m = m;
-  args.k = k;
-  args.n = n;
-  args.accumulate = accumulate;
-  run_parallel(kernels, args, /*transposed_a=*/true);
+  run_parallel(kernels.run_rows_at,
+               {.a = a, .packed = packed, .c = c, .m = m, .k = k, .n = n,
+                .accumulate = accumulate});
 }
 
 }  // namespace safelight::nn

@@ -1,7 +1,6 @@
 #include "nn/im2col.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "nn/backend.hpp"
 
@@ -36,14 +35,9 @@ void im2col(const float* image, const ConvGeom& g, float* columns) {
   }
 }
 
-namespace {
-
-constexpr std::size_t kNr = backend::kNr;
-
-/// im2col_pack for narrow output maps: every panel lane gathers its own
-/// taps, bounds-checked per tap.
-void pack_lanes(const float* input, const ConvGeom& g, std::size_t col0,
-                std::size_t cols, float* packed) {
+void im2col_pack(const float* input, const ConvGeom& g, std::size_t col0,
+                 std::size_t cols, float* packed) {
+  constexpr std::size_t kNr = backend::kNr;
   const std::size_t out_w = g.out_w();
   const std::size_t hw = g.out_hw();
   const std::size_t plane = g.in_h * g.in_w;
@@ -80,99 +74,6 @@ void pack_lanes(const float* input, const ConvGeom& g, std::size_t col0,
         }
       }
     }
-  }
-}
-
-/// im2col_pack for wide output maps: a panel's lanes split into runs that
-/// share one image and one output row, and each run copies a strided slice
-/// of one input row, with the padding taps at either end zero-filled.
-void pack_runs(const float* input, const ConvGeom& g, std::size_t col0,
-               std::size_t cols, float* packed) {
-  const std::size_t out_w = g.out_w();
-  const std::size_t hw = g.out_hw();
-  const std::size_t plane = g.in_h * g.in_w;
-  const long in_h = static_cast<long>(g.in_h);
-  const long in_w = static_cast<long>(g.in_w);
-  const long stride = static_cast<long>(g.stride);
-  // Per run: its image, first lane and length, and the input coordinates of
-  // its first patch's top-left tap.
-  struct Run {
-    const float* image;
-    std::size_t lane, len;
-    long ih0, iw0;
-  };
-  Run runs[kNr];
-  for (std::size_t j0 = 0; j0 < cols; j0 += kNr) {
-    const std::size_t width = std::min(kNr, cols - j0);
-    std::size_t run_count = 0;
-    for (std::size_t j = 0; j < width;) {
-      const std::size_t q = col0 + j0 + j;
-      const std::size_t pix = q % hw;
-      const std::size_t ow = pix % out_w;
-      Run& run = runs[run_count++];
-      run.image = input + q / hw * g.in_c * plane;
-      run.lane = j;
-      run.len = std::min(out_w - ow, width - j);
-      run.ih0 = static_cast<long>(pix / out_w * g.stride) -
-                static_cast<long>(g.pad);
-      run.iw0 = static_cast<long>(ow * g.stride) - static_cast<long>(g.pad);
-      j += run.len;
-    }
-    for (std::size_t c = 0; c < g.in_c; ++c) {
-      for (std::size_t kh = 0; kh < g.k_h; ++kh) {
-        for (std::size_t kw = 0; kw < g.k_w; ++kw) {
-          for (std::size_t r = 0; r < run_count; ++r) {
-            const Run& run = runs[r];
-            float* dst = packed + run.lane;
-            const long len = static_cast<long>(run.len);
-            const long ih = run.ih0 + static_cast<long>(kh);
-            const long iw = run.iw0 + static_cast<long>(kw);
-            if (ih < 0 || ih >= in_h) {
-              std::fill(dst, dst + len, 0.0f);
-              continue;
-            }
-            // Taps [lo, hi) of the run land inside input row ih.
-            long lo = 0;
-            long hi = 0;
-            if (stride == 1) {
-              lo = std::min(len, std::max(0L, -iw));
-              hi = std::min(len, in_w - iw);
-            } else {
-              lo = iw >= 0 ? 0 : std::min(len, (stride - 1 - iw) / stride);
-              hi = iw >= in_w ? 0
-                              : std::min(len, (in_w - iw + stride - 1) / stride);
-            }
-            const float* row =
-                run.image + c * plane + static_cast<std::size_t>(ih * in_w);
-            long t = 0;
-            for (; t < lo; ++t) dst[t] = 0.0f;
-            if (stride == 1 && hi > lo) {
-              std::memcpy(dst + lo, row + iw + lo,
-                          static_cast<std::size_t>(hi - lo) * sizeof(float));
-              t = hi;
-            } else {
-              for (; t < hi; ++t) dst[t] = row[iw + t * stride];
-            }
-            for (; t < len; ++t) dst[t] = 0.0f;
-          }
-          std::fill(packed + width, packed + kNr, 0.0f);
-          packed += kNr;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void im2col_pack(const float* input, const ConvGeom& g, std::size_t col0,
-                 std::size_t cols, float* packed) {
-  // Below 8 lanes per run, per-run bookkeeping costs more than per-lane
-  // gathers (measured on the model zoo's conv shapes).
-  if (g.out_w() >= 8) {
-    pack_runs(input, g, col0, cols, packed);
-  } else {
-    pack_lanes(input, g, col0, cols, packed);
   }
 }
 

@@ -1,11 +1,14 @@
 // Convolution lowering: the patch matrix of a 2-D convolution.
 //
-// Conv2d::forward is one GEMM W[out_c x patch_len] * X[patch_len x N*out_hw]
-// over the whole batch, where X holds each image's im2col columns side by
-// side. im2col_pack builds kNr-wide GEMM panels of X straight from the NCHW
-// input, one column block at a time, so X itself is never materialized.
-// im2col/col2im unroll and scatter one image; backward-to-input uses col2im
-// to scatter patch gradients back.
+// Conv2d::forward's packed path (stride 2, or output rows under 8 pixels)
+// is one GEMM W[out_c x patch_len] * X[patch_len x N*out_hw] over the whole
+// batch, where X holds each image's im2col columns side by side.
+// im2col_pack builds kNr-wide GEMM panels of X straight from the NCHW input,
+// one column block at a time, so X itself is never materialized; every lane
+// gathers its own bounds-checked taps. Stride-1 layers with wider rows skip
+// packing altogether (Conv2d::forward_direct). im2col/col2im unroll and
+// scatter one image; backward-to-input uses col2im to scatter patch
+// gradients back.
 #pragma once
 
 #include <cstddef>

@@ -25,6 +25,23 @@ Tensor MaxPool2d::forward(Tensor x, bool train) {
     argmax_.assign(out.numel(), 0);
     cached_in_shape_ = x.shape();
   }
+  if (!train && window_ == 2) {
+    // Straight-line 2x2 window: the generic loop's `>` selects in its order
+    // (the first tap's self-compare never changes `best`), so it vectorizes.
+    float* dst = out.data();
+    for (std::size_t row = 0; row < batch * ch * out_h; ++row, dst += out_w) {
+      const std::size_t plane = row / out_h, oh = row % out_h;
+      const float* r0 = x.data() + (plane * in_h + 2 * oh) * in_w;
+      const float* r1 = r0 + in_w;
+      for (std::size_t ow = 0; ow < out_w; ++ow) {
+        float best = r0[2 * ow];
+        best = r0[2 * ow + 1] > best ? r0[2 * ow + 1] : best;
+        best = r1[2 * ow] > best ? r1[2 * ow] : best;
+        dst[ow] = r1[2 * ow + 1] > best ? r1[2 * ow + 1] : best;
+      }
+    }
+    return out;
+  }
   std::size_t oi = 0;
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t c = 0; c < ch; ++c) {

@@ -10,6 +10,13 @@ namespace safelight::nn {
 
 Layer& Sequential::add(LayerPtr layer) {
   require(layer != nullptr, "Sequential::add: null layer");
+  ParamKind kind = ParamKind::kElectronic;
+  for (const Param* p : layer->params()) {
+    if (kind != ParamKind::kConvWeight && p->kind != ParamKind::kElectronic) {
+      kind = p->kind;
+    }
+  }
+  weight_kinds_.push_back(kind);
   layers_.push_back(std::move(layer));
   return *layers_.back();
 }
@@ -70,6 +77,12 @@ Layer& Sequential::layer(std::size_t i) {
 const Layer& Sequential::layer(std::size_t i) const {
   require(i < layers_.size(), "Sequential::layer: index out of range");
   return *layers_[i];
+}
+
+ParamKind Sequential::weight_kind(std::size_t i) const {
+  require(i < weight_kinds_.size(),
+          "Sequential::weight_kind: index out of range");
+  return weight_kinds_[i];
 }
 
 std::size_t Sequential::num_parameters() {

@@ -44,6 +44,12 @@ class Sequential final : public Layer {
   Layer& layer(std::size_t i);
   const Layer& layer(std::size_t i) const;
 
+  /// What layer i's weights map onto: kConvWeight when it holds any conv
+  /// weight, else kLinearWeight when it holds any linear weight, else
+  /// kElectronic (not mapped onto MRs). Decided once, in add(), so the
+  /// accelerator's per-batch layer walk asks without allocating.
+  ParamKind weight_kind(std::size_t i) const;
+
   /// Total trainable scalar parameters.
   std::size_t num_parameters();
 
@@ -58,6 +64,7 @@ class Sequential final : public Layer {
 
  private:
   std::vector<LayerPtr> layers_;
+  std::vector<ParamKind> weight_kinds_;  // weight_kind() per layer
 };
 
 }  // namespace safelight::nn

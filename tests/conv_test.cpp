@@ -1,10 +1,10 @@
-// Conv2d forward lowering: the batched, column-blocked GEMM must reproduce
-// the per-image lowering (im2col + gemm_ref + bias) bit for bit, for every
-// compiled-in compute backend and with the column blocks run both across
-// the pool and serially. The suite runs with SAFELIGHT_THREADS=4 (set in
-// tests/CMakeLists.txt); the serial runs call forward from inside a pool
-// chunk, where nested parallel loops run on the calling thread exactly as
-// they do with SAFELIGHT_THREADS=1.
+// Conv2d forward lowering: the direct path and the batched, column-blocked
+// packed GEMM must reproduce the per-image lowering (im2col + gemm_ref +
+// bias) bit for bit, for every compiled-in compute backend and with the
+// images or column blocks run both across the pool and serially. The suite
+// runs with SAFELIGHT_THREADS=4 (set in tests/CMakeLists.txt); the serial
+// runs call forward from inside a pool chunk, where nested parallel loops
+// run on the calling thread exactly as they do with SAFELIGHT_THREADS=1.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -87,10 +87,14 @@ struct ConvCase {
 };
 
 // Output maps of 81, 64, 576, 16, 4 and 1 pixels, none a multiple of the
-// 32-column panel, and output rows both wide enough for im2col_pack's
-// row-run path (>= 8) and narrow enough for its per-lane path. Patches of
-// 27 to 1152 rows give column blocks from 1184 down to 32 columns, so at
-// batch 3 and 64 blocks straddle images.
+// 32-column panel. Stride-2 layers and output rows under 8 pixels take the
+// packed path: patches of 27 to 1152 rows give column blocks from 1184 down
+// to 32 columns, so at batch 3 and 64 blocks straddle images. Stride-1
+// layers with rows of 8 or more take the direct path; the "direct" cases
+// cover pad 0/1/2, kernels 3 and 5, output rows just below, at and above
+// the threshold, per-image column counts (rows * padded width, last row
+// trimmed) that leave a partial last panel, and out_c that kMr does not
+// divide.
 const ConvCase kConvCases[] = {
     {"stride 2 pad 1, wide rows", 3, 8, 3, 2, 1, 17, true},
     {"stride 1 pad 1, hw 64", 8, 8, 3, 1, 1, 8, true},
@@ -99,6 +103,11 @@ const ConvCase kConvCases[] = {
     {"hw 4", 16, 8, 3, 1, 1, 2, true},
     {"hw 1, no bias", 128, 4, 3, 1, 1, 1, false},
     {"deep 64->64, no bias", 64, 64, 3, 1, 1, 4, false},
+    {"direct 5x5 pad 2, out_w 12, out_c 5", 3, 5, 5, 1, 2, 12, true},
+    {"packed, out_w 7 just below the threshold", 4, 6, 3, 1, 1, 7, true},
+    {"direct 5x5 pad 2, out_w 8, no bias", 2, 7, 5, 1, 2, 8, false},
+    {"direct no pad, out_w 9 just above", 5, 3, 3, 1, 0, 11, true},
+    {"direct 16->32, 16x16", 16, 32, 3, 1, 1, 16, true},
 };
 
 TEST(Conv2d, RunsWithFourWorkers) {
@@ -185,9 +194,9 @@ TEST(Conv2d, PackFromInputMatchesPackedIm2colMidImage) {
   g.k_h = g.k_w = 3;
   g.stride = 2;
   g.pad = 1;
-  g.in_h = g.in_w = 7;  // 4x4 output: per-lane path
+  g.in_h = g.in_w = 7;  // 4x4 output
   check_pack_matches(g);
-  g.in_h = g.in_w = 18;  // 9x9 output: row-run path
+  g.in_h = g.in_w = 18;  // 9x9 output
   check_pack_matches(g);
   g.stride = 1;
   g.pad = 0;

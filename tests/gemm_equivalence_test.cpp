@@ -7,6 +7,7 @@
 // contract, so runtime dispatch can never change a result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -103,6 +104,39 @@ void check_gemm_at_cases(const std::string& variant) {
   }
 }
 
+/// gemm_direct over rows of one buffer at scattered, overlapping offsets
+/// (each row readable in whole panels) against gemm_ref over the same rows
+/// copied out. The buffer's tail past the farthest row's n columns is random,
+/// so a lane past n that reached C would show.
+void check_gemm_direct_cases(const std::string& variant) {
+  Rng rng(104);
+  for (const auto& c : kCases) {
+    const std::size_t panel_cols =
+        (c.n + backend::kNr - 1) / backend::kNr * backend::kNr;
+    std::vector<std::size_t> offsets(c.k);
+    std::size_t farthest = 0;
+    for (std::size_t p = 0; p < c.k; ++p) {
+      offsets[p] = (p * 5 % c.k) * (c.n / 2 + 1);
+      farthest = std::max(farthest, offsets[p]);
+    }
+    const auto rows = random_vec(farthest + panel_cols, rng);
+    std::vector<float> b(c.k * c.n);
+    for (std::size_t p = 0; p < c.k; ++p) {
+      std::memcpy(b.data() + p * c.n, rows.data() + offsets[p],
+                  c.n * sizeof(float));
+    }
+    const auto a = random_vec(c.m * c.k, rng);
+    const auto bias = random_vec(c.m, rng);
+    auto got = random_vec(c.m * c.n, rng);
+    auto want = got;
+    gemm_direct(a.data(), rows.data(), offsets.data(), got.data(), c.m, c.k,
+                c.n, c.bias ? bias.data() : nullptr);
+    gemm_ref(a.data(), b.data(), want.data(), c.m, c.k, c.n,
+             /*accumulate=*/false, c.bias ? bias.data() : nullptr);
+    expect_bitwise_equal(got, want, case_label("gemm_direct", c, variant));
+  }
+}
+
 TEST(GemmEquivalence, GemmMatchesReferenceBitwise) {
   check_gemm_cases("auto");
 }
@@ -131,6 +165,7 @@ TEST(GemmEquivalence, EveryCompiledVariantMatchesReferenceBitwise) {
     check_gemm_cases(variant->name());
     check_gemm_bt_cases(variant->name());
     check_gemm_at_cases(variant->name());
+    check_gemm_direct_cases(variant->name());
     ++checked;
   }
   EXPECT_GE(checked, 1u);  // scalar at minimum

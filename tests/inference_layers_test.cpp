@@ -104,6 +104,17 @@ TEST(InferenceLayers, MaxPoolMatchesBranchySemanticsBitwise) {
           << "window " << window;
     }
   }
+  // Odd planes: the floor drops the last row and column.
+  Tensor odd({2, 2, 5, 7});
+  for (std::size_t i = 0; i < odd.numel(); ++i) {
+    odd[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+  }
+  odd[6] = 9.0f;   // last column of row 0: dropped
+  odd[30] = 9.0f;  // first element of row 4: dropped
+  odd[17] = kNaN;
+  const Tensor odd_want = branchy_max_pool(odd, 2);
+  EXPECT_TRUE(same_bytes(MaxPool2d(2).forward(odd, /*train=*/false), odd_want));
+  EXPECT_TRUE(same_bytes(MaxPool2d(2).forward(odd, /*train=*/true), odd_want));
   const Tensor out = MaxPool2d(2).forward(edge, /*train=*/false);
   EXPECT_TRUE(std::signbit(out[0]));  // the first of the tied zeros
   EXPECT_TRUE(std::isnan(out[1]));
